@@ -1,4 +1,4 @@
-.PHONY: all check test fuzz fuzz-quick bench bench-json bench-quick bench-codecs perf-gate maybe-perf-gate server-bench ab-bench storm-bench paging-bench traces dict tune policy-check clean
+.PHONY: all check test fuzz fuzz-quick bench bench-json bench-quick bench-codecs perf-gate maybe-perf-gate server-bench storm-bench paging-bench traces dict clean
 
 all:
 	dune build
@@ -8,15 +8,13 @@ all:
 # maybe-perf-gate (opt-in via PERF_GATE=1) compares stage wall times
 # against the committed baseline BEFORE bench-codecs overwrites it;
 # bench-codecs proves every registered codec encodes+decodes and tracks
-# the per-stage matrix; policy-check validates the committed serving
-# policy against the registry and smoke-runs the tuner; the suite
-# itself (one `dune runtest`) then includes the full 10k-iteration
-# fuzz layer and the differential tests; ab-bench replays the committed
-# flash-crowd trace under the tuned policy vs live scoring and gates
-# the diff (deterministic, so it runs unconditionally); paging-bench
-# runs the demand-paged execution sweep and holds its fault/stall/ratio
-# ceilings (also deterministic — modelled cycles only)
-check: fuzz-quick maybe-perf-gate bench-codecs policy-check ab-bench storm-bench paging-bench
+# the per-stage matrix; the suite itself (one `dune runtest`) then
+# includes the full 10k-iteration fuzz layer, the differential tests
+# and the golden trace replays; storm-bench gates the update channel's
+# savings and paging-bench runs the demand-paged execution sweep and
+# holds its fault/stall/ratio ceilings (both deterministic — modelled
+# latencies and cycles only — so they run unconditionally)
+check: fuzz-quick maybe-perf-gate bench-codecs storm-bench paging-bench
 	dune build && dune runtest
 
 # off by default (timings on shared runners are noisy); opt in with
@@ -47,21 +45,11 @@ server-bench:
 	  --stream-pct 70 --chunks 24 --json BENCH_server.json
 	@cat BENCH_server.json
 
-# A/B the tuned serving policy against live scoring over the committed
-# flash-crowd trace (mccsim ab) and gate the diff: the tuned side may
-# not regress bytes-on-wire (>1%) or overall p99 (>10% + 0.5 ms). The
-# replay is fully deterministic (modelled latencies), so this runs in
-# CI without a noise opt-out.
-ab-bench:
-	dune build bin/mccsim.exe bench/perf_gate.exe
-	dune exec bin/mccsim.exe -- ab traces/flash_crowd.trace \
-	  --a-policy POLICY.tune --json --out BENCH_ab.json
-	dune exec bench/perf_gate.exe -- --ab BENCH_ab.json
-
 # replay the committed update-storm trace with the update channel on
 # and off (mccsim storm) and gate the savings: delta delivery must stay
 # at or under 40% of full-redelivery bytes on the update ops, with zero
-# client-side decode-verification failures. Deterministic, like ab-bench.
+# client-side decode-verification failures. Deterministic (modelled
+# latencies), so it runs in CI without a noise opt-out.
 storm-bench:
 	dune build bin/mccsim.exe bench/perf_gate.exe
 	dune exec bin/mccsim.exe -- storm traces/update_storm.trace \
@@ -134,18 +122,6 @@ bench-quick:
 bench-codecs:
 	dune exec bench/main.exe -- --quick --codecs-json > BENCH_compressor.json
 	@cat BENCH_compressor.json
-
-# regenerate the committed serving-policy table: search the registry's
-# (codec x mode) grid per corpus point against each client profile's
-# modelled total delivery time and write the argmins to POLICY.tune
-tune:
-	dune exec bin/mcctune.exe -- -o POLICY.tune
-
-# validate the committed table (parses, current version, references
-# only registered whole-image codecs) and smoke-run the tuner on two
-# corpus points so a search-path regression fails here, not in serving
-policy-check:
-	dune exec bin/mcctune.exe -- check POLICY.tune --smoke
 
 clean:
 	dune clean

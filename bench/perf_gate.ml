@@ -200,59 +200,6 @@ let server_gate path =
   end
   else print_endline "\nperf-gate: OK — server floors hold"
 
-(* ---- --ab mode: the tuned side may not regress the live side ---- *)
-
-(* mccsim ab's report is deterministic (modelled latencies), so the
-   p99 tolerance is generosity toward float printing, not noise: the
-   tuned policy may cost up to 10% + 0.5 ms of p99 and 1% of bytes
-   before the gate trips. Byte parity is the expected result — the
-   table was tuned against the same objective live scoring minimizes. *)
-let ab_bytes_tolerance = 1.01
-let ab_p99_tolerance = 1.10
-let ab_p99_floor_ms = 0.5
-
-let ab_gate path =
-  let s = read_file path in
-  let rec has i =
-    if i + 8 > String.length s then false
-    else if String.sub s i 8 = "mcc-ab 1" then true
-    else has (i + 1)
-  in
-  if not (has 0) then begin
-    Printf.eprintf "perf-gate: %s is not an mcc-ab 1 report\n" path;
-    exit 2
-  end;
-  let get key =
-    match scan_number s key with
-    | Some v -> v
-    | None ->
-      Printf.eprintf "perf-gate: no \"%s\" in %s\n" key path;
-      exit 2
-  in
-  let a_bytes = get "a_bytes" in
-  let b_bytes = get "b_bytes" in
-  let a_p99 = get "a_p99_ms" in
-  let b_p99 = get "b_p99_ms" in
-  let failures = ref 0 in
-  let check cond msg =
-    Printf.printf "  [%s] %s\n" (if cond then "ok" else "FAIL") msg;
-    if not cond then incr failures
-  in
-  Printf.printf "A/B gate on %s (A = tuned policy, B = live scoring):\n" path;
-  check
-    (a_bytes <= b_bytes *. ab_bytes_tolerance)
-    (Printf.sprintf "bytes on wire %.0f <= %.0f x %.2f" a_bytes b_bytes
-       ab_bytes_tolerance);
-  check
-    (a_p99 <= (b_p99 *. ab_p99_tolerance) +. ab_p99_floor_ms)
-    (Printf.sprintf "p99 %.2f ms <= %.2f x %.2f + %.1f" a_p99 b_p99
-       ab_p99_tolerance ab_p99_floor_ms);
-  if !failures > 0 then begin
-    Printf.printf "\nperf-gate: FAIL — tuned policy regressed the A/B gate\n";
-    exit 1
-  end
-  else print_endline "\nperf-gate: OK — tuned policy holds parity with live scoring"
-
 (* ---- --storm mode: the update channel must actually save bytes ---- *)
 
 (* mccsim storm replays the committed update-storm trace with the
@@ -450,10 +397,6 @@ let () =
     server_gate Sys.argv.(2);
     exit 0
   end;
-  if Array.length Sys.argv = 3 && Sys.argv.(1) = "--ab" then begin
-    ab_gate Sys.argv.(2);
-    exit 0
-  end;
   if Array.length Sys.argv = 3 && Sys.argv.(1) = "--storm" then begin
     storm_gate Sys.argv.(2);
     exit 0
@@ -465,8 +408,8 @@ let () =
   if Array.length Sys.argv <> 3 then begin
     prerr_endline
       "usage: perf_gate BASELINE.json FRESH.json | perf_gate --server \
-       BENCH_server.json | perf_gate --ab BENCH_ab.json | perf_gate \
-       --storm BENCH_storm.json | perf_gate --paging BENCH_paging.json";
+       BENCH_server.json | perf_gate --storm BENCH_storm.json | perf_gate \
+       --paging BENCH_paging.json";
     exit 2
   end;
   let base, base_sizes = parse (read_file Sys.argv.(1)) in

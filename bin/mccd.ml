@@ -19,20 +19,10 @@
    Programs are corpus names (wc, sieve, qsort, ..., gen24, gen40);
    profiles are modem-jit, lan-jit, embedded, datacenter. *)
 
-let load_policy = function
-  | None -> None
-  | Some file -> (
-    match Tune.Policy.load file with
-    | Ok pol ->
-      Printf.printf "mccd: loaded serving policy %s (%d picks)\n%!" file
-        (List.length (Tune.Policy.picks pol));
-      Some pol
-    | Error e -> failwith (Printf.sprintf "mccd: policy %s: %s" file e))
-
-let main requests seed budget drop faults quick script no_check domains policy =
+let main requests seed budget drop faults quick script no_check domains =
   if domains > 0 then Support.Pool.set_shared_domains domains;
   let check = ref (not no_check) in
-  let engine = Server.create ~budget_bytes:budget ?policy:(load_policy policy) () in
+  let engine = Server.create ~budget_bytes:budget () in
   Printf.printf "mccd: publishing the corpus (budget %s)...\n%!"
     (Support.Util.human_bytes budget);
   let t0 = Unix.gettimeofday () in
@@ -180,11 +170,8 @@ let main requests seed budget drop faults quick script no_check domains policy =
 
 (* ---- serve: the network daemon ---- *)
 
-let serve port domains queue_depth max_sessions budget quick policy =
-  let engine =
-    Server.create ~shards:(max 1 domains) ~budget_bytes:budget
-      ?policy:(load_policy policy) ()
-  in
+let serve port domains queue_depth max_sessions budget quick =
+  let engine = Server.create ~shards:(max 1 domains) ~budget_bytes:budget () in
   Printf.printf "mccd: publishing the corpus (budget %s)...\n%!"
     (Support.Util.human_bytes budget);
   let t0 = Unix.gettimeofday () in
@@ -258,15 +245,10 @@ let domains =
   Arg.(value & opt int 0 & info [ "domains" ] ~docv:"N"
        ~doc:"Resize the shared pool the engine's store compresses with.")
 
-let policy =
-  Arg.(value & opt (some file) None & info [ "policy" ] ~docv:"FILE"
-       ~doc:"Tuned serving-policy table (mcctune / make tune); fetch \
-             consults it before live scoring.")
-
 let run_term =
   Term.(
     const main $ requests $ seed $ budget $ drop $ faults $ quick $ script
-    $ no_check $ domains $ policy)
+    $ no_check $ domains)
 
 let serve_cmd =
   let port =
@@ -291,7 +273,7 @@ let serve_cmd =
        ~doc:"Run the concurrent network daemon over loopback TCP")
     Term.(
       const serve $ port $ serve_domains $ queue_depth $ max_sessions $ budget
-      $ quick $ policy)
+      $ quick)
 
 let cmd =
   Cmd.group

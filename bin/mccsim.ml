@@ -4,15 +4,14 @@
        --catalog quick --events 400 --seed 42 --out traces/flash_crowd.trace
      dune exec bin/mccsim.exe -- record --out workload.trace   # capture a live run
      dune exec bin/mccsim.exe -- replay traces/flash_crowd.trace --json
-     dune exec bin/mccsim.exe -- ab traces/flash_crowd.trace \
-       --a-policy POLICY.tune --json --out BENCH_ab.json
+     dune exec bin/mccsim.exe -- ab traces/flash_crowd.trace --a-budget 8192
 
    [record --scenario] synthesizes a trace from a named generator;
    without a scenario it runs the synthetic workload against a live
    engine and captures what the observer hook sees. [replay] replays a
    trace deterministically (in-process, or --daemon for the loopback
-   TCP path). [ab] replays the same trace under two engine
-   configurations and reports the diff. *)
+   TCP path). [ab] replays the same trace under two cache budgets and
+   reports the diff. *)
 
 let fail fmt = Printf.ksprintf failwith fmt
 
@@ -21,13 +20,6 @@ let flavor_of name =
   | Some f -> f
   | None ->
     fail "mccsim: unknown catalog flavor %s (mini|quick|full|versioned)" name
-
-let load_policy = function
-  | None -> None
-  | Some file -> (
-    match Tune.Policy.load file with
-    | Ok pol -> Some pol
-    | Error e -> fail "mccsim: policy %s: %s" file e)
 
 let load_trace file =
   match Sim.Trace.load file with
@@ -94,15 +86,10 @@ let record scenario catalog seed events out =
 
 (* ---- replay ---- *)
 
-let replay file policy budget domains daemon json log =
+let replay file budget domains daemon json log =
   if domains > 0 then Support.Pool.set_shared_domains domains;
   let trace = load_trace file in
-  let config =
-    { Sim.Replay.default_config with
-      budget_bytes = budget;
-      policy = load_policy policy;
-    }
-  in
+  let config = { Sim.Replay.default_config with budget_bytes = budget } in
   let r =
     if daemon then Sim.Replay.via_daemon ~config trace
     else Sim.Replay.run ~config trace
@@ -114,18 +101,15 @@ let replay file policy budget domains daemon json log =
 
 (* ---- ab ---- *)
 
-let ab file a_policy b_policy a_budget b_budget json out =
+let ab file a_budget b_budget json out =
   let trace = load_trace file in
-  let side label policy budget =
-    { Sim.Replay.label; budget_bytes = budget; policy = load_policy policy;
-      pool = None; contexted = true }
+  let side budget =
+    { Sim.Replay.default_config with
+      label = Support.Util.human_bytes budget;
+      budget_bytes = budget;
+    }
   in
-  let d =
-    Sim.Ab.run
-      ~a:(side "tuned" a_policy a_budget)
-      ~b:(side "live" b_policy b_budget)
-      trace
-  in
+  let d = Sim.Ab.run ~a:(side a_budget) ~b:(side b_budget) trace in
   write_out out (if json then Sim.Ab.to_json d ^ "\n" else Sim.Ab.render d);
   if out <> None && json then print_string (Sim.Ab.render d);
   0
@@ -225,10 +209,6 @@ let trace_file =
 let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit JSON.")
 
 let replay_cmd =
-  let policy =
-    Arg.(value & opt (some file) None & info [ "policy" ] ~docv:"FILE"
-         ~doc:"Tuned serving-policy table for the replay engine.")
-  in
   let domains =
     Arg.(value & opt int 0 & info [ "domains" ] ~docv:"N"
          ~doc:"Resize the shared compression pool (reports are identical \
@@ -248,29 +228,21 @@ let replay_cmd =
   Cmd.v
     (Cmd.info "replay" ~doc:"Deterministically replay a trace")
     Term.(
-      const replay $ trace_file $ policy
+      const replay $ trace_file
       $ budget_arg [ "budget" ] "Artifact-cache byte budget."
       $ domains $ daemon $ json $ log)
 
 let ab_cmd =
-  let a_policy =
-    Arg.(value & opt (some file) None & info [ "a-policy" ] ~docv:"FILE"
-         ~doc:"Side A's serving-policy table (typically POLICY.tune).")
-  in
-  let b_policy =
-    Arg.(value & opt (some file) None & info [ "b-policy" ] ~docv:"FILE"
-         ~doc:"Side B's serving-policy table (default: live scoring).")
-  in
   let out =
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE"
          ~doc:"Write the report there instead of stdout (with --json the \
                text rendering still goes to stdout).")
   in
   Cmd.v
-    (Cmd.info "ab" ~doc:"Replay one trace under two engine configurations \
-                         and diff them")
+    (Cmd.info "ab" ~doc:"Replay one trace under two cache budgets and diff \
+                         them")
     Term.(
-      const ab $ trace_file $ a_policy $ b_policy
+      const ab $ trace_file
       $ budget_arg [ "a-budget" ] "Side A's cache budget."
       $ budget_arg [ "b-budget" ] "Side B's cache budget."
       $ json $ out)

@@ -41,42 +41,23 @@ type result = {
   working_set_pages : int;
 }
 
-(* LRU over page ids via a timestamped table. *)
+(* LRU over unit-cost pages: a budget of N resident pages is a
+   Vm.Pager byte budget of N. The pager keeps the faulting page even
+   when the budget is 0, so every budget below one page holds one. *)
 let simulate cfg layout trace =
-  let last_use : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let resident : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let touched : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let clock = ref 0 in
-  let faults = ref 0 in
-  let evict_lru () =
-    let victim = ref (-1) and oldest = ref max_int in
-    Hashtbl.iter
-      (fun p () ->
-        let t = try Hashtbl.find last_use p with Not_found -> 0 in
-        if t < !oldest then begin
-          oldest := t;
-          victim := p
-        end)
-      resident;
-    if !victim >= 0 then Hashtbl.remove resident !victim
+  let pages = List.map (fun f -> layout.seg_page.(f)) trace in
+  let pager =
+    Vm.Pager.create ~budget_bytes:cfg.resident_pages ~items:layout.pages
+      (fun _ -> { Vm.Pager.item = (); cost_bytes = 1; stall_cycles = 0 })
   in
-  let touch page =
-    incr clock;
-    Hashtbl.replace touched page ();
-    Hashtbl.replace last_use page !clock;
-    if not (Hashtbl.mem resident page) then begin
-      incr faults;
-      if Hashtbl.length resident >= cfg.resident_pages then evict_lru ();
-      Hashtbl.replace resident page ()
-    end
-  in
-  List.iter (fun f -> touch layout.seg_page.(f)) trace;
+  List.iter (Vm.Pager.get pager) pages;
+  let faults = (Vm.Pager.stats pager).Vm.Pager.faults in
   let per_fault = cfg.fault_cost_us +. cfg.decompress_us_per_page in
   {
     references = List.length trace;
-    faults = !faults;
-    fault_time_s = float_of_int !faults *. per_fault /. 1.0e6;
-    working_set_pages = Hashtbl.length touched;
+    faults;
+    fault_time_s = float_of_int faults *. per_fault /. 1.0e6;
+    working_set_pages = List.length (List.sort_uniq compare pages);
   }
 
 let trace_of_program ?input (vp : Vm.Isa.vprogram) =

@@ -17,8 +17,6 @@ type t = {
   stats : Stats.t;
   rates : Scenario.Delivery.rates;
   min_session_cycles : int;
-  policy : Tune.Policy.t option;
-      (* tuned serving table, consulted before live scoring *)
 }
 
 (* Corpus drivers finish in milliseconds, but a delivered program runs
@@ -31,11 +29,11 @@ let default_budget_bytes = 256 * 1024
 
 let create ?pool ?shards ?(budget_bytes = default_budget_bytes)
     ?(rates = Scenario.Delivery.default_rates)
-    ?(min_session_cycles = default_min_session_cycles) ?policy () =
+    ?(min_session_cycles = default_min_session_cycles) () =
   let stats = Stats.create () in
   let pool = match pool with Some p -> p | None -> Support.Pool.shared () in
   { store = Store.create ~pool ?shards ~budget_bytes ~stats (); stats; rates;
-    min_session_cycles; policy }
+    min_session_cycles }
 
 let publish t ?run_cycles ?input p = Store.publish t.store ?run_cycles ?input p
 let digests t = Store.digests t.store
@@ -190,35 +188,14 @@ let fetch ?(held = []) t digest (profile : Profile.t) =
           ~native_bytes ~run_cycles ~link_bps:profile.Profile.link_bps () )
     in
     let scored = List.map score cands in
-    (* Tuned policy first: if the table names a codec that is still a
-       feasible, non-quarantined candidate for this (profile, digest),
-       serve it without re-deriving the argmin. A stale or infeasible
-       pick — and any candidate knocked out by the degradation loop —
-       falls through to live scoring. *)
-    let tuned =
-      match t.policy with
-      | None -> None
-      | Some pol -> (
-        match
-          Tune.Policy.lookup pol ~profile:profile.Profile.name ~digest
-        with
-        | None -> None
-        | Some pick ->
-          List.find_opt
-            (fun ((r, _, _), _) -> Artifact.name r = pick.Tune.Policy.codec)
-            scored)
-    in
+    (* strict-min fold: ties keep the earlier (registry-order) entry *)
     let (artifact, chosen, ctx), outcome =
-      match tuned with
-      | Some c -> c
-      | None ->
-        (* strict-min fold: ties keep the earlier (registry-order) entry *)
-        List.fold_left
-          (fun (bc, bo) (c, o) ->
-            if o.Scenario.Delivery.total_s < bo.Scenario.Delivery.total_s then
-              (c, o)
-            else (bc, bo))
-          (List.hd scored) (List.tl scored)
+      List.fold_left
+        (fun (bc, bo) (c, o) ->
+          if o.Scenario.Delivery.total_s < bo.Scenario.Delivery.total_s then
+            (c, o)
+          else (bc, bo))
+        (List.hd scored) (List.tl scored)
     in
     let label = label_of artifact chosen in
     let bytes, cache_hit = Store.materialize ?ctx t.store digest artifact in
@@ -227,10 +204,6 @@ let fetch ?(held = []) t digest (profile : Profile.t) =
        exactly as poisoned as a corrupt context-free one *)
     match Codec.decode ?ctx (Artifact.codec artifact) bytes with
     | Ok _ ->
-      (* a policy hit only counts once the pick actually serves: a
-         tuned pick that fails verification degrades like any other
-         candidate and must not inflate the table's success rate *)
-      if tuned <> None then Stats.record_policy_hit t.stats;
       let size = String.length bytes in
       Stats.record_served t.stats artifact size;
       let degraded_from =

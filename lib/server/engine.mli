@@ -10,14 +10,9 @@ val create :
   ?budget_bytes:int ->
   ?rates:Scenario.Delivery.rates ->
   ?min_session_cycles:int ->
-  ?policy:Tune.Policy.t ->
   unit ->
   t
-(** [policy] is a tuned serving table ([mcctune] / [make tune]):
-    {!fetch} consults it before live scoring, and falls back to live
-    scoring whenever the lookup misses or its pick is infeasible or
-    quarantined for the request at hand.
-    [budget_bytes] bounds the artifact cache (default 256 KiB).
+(** [budget_bytes] bounds the artifact cache (default 256 KiB).
     [rates] parameterize the delivery-time model. [min_session_cycles]
     (default 120M — one nominal CPU-second) floors a program's modelled
     execution so preparation cost amortizes over a believable session,

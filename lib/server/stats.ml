@@ -85,8 +85,6 @@ type t = {
   failures_by_kind : (string, int) Hashtbl.t;
   mutable degraded_fetches : int;    (* fetches served by a lower-ranked
                                         repr after the chosen one failed *)
-  mutable policy_hits : int;         (* fetches answered by the tuned
-                                        serving-policy table *)
   mutable quarantine_heals : int;    (* quarantined artifacts rebuilt
                                         fresh and served again *)
   mutable recent_failures : failure list;  (* newest first, bounded *)
@@ -106,7 +104,6 @@ let create () =
     decode_failures = 0;
     failures_by_kind = Hashtbl.create 8;
     degraded_fetches = 0;
-    policy_hits = 0;
     quarantine_heals = 0;
     recent_failures = [];
   }
@@ -205,9 +202,6 @@ let record_decode_failure t ~digest repr (e : Support.Decode_error.t) =
 let record_degraded t =
   locked t (fun () -> t.degraded_fetches <- t.degraded_fetches + 1)
 
-let record_policy_hit t =
-  locked t (fun () -> t.policy_hits <- t.policy_hits + 1)
-
 let record_quarantine_heal t =
   locked t (fun () -> t.quarantine_heals <- t.quarantine_heals + 1)
 
@@ -248,7 +242,6 @@ type report = {
   decode_failures : int;
   failures_by_kind : (string * int) list;
   degraded_fetches : int;
-  policy_hits : int;
   quarantine_heals : int;
   recent_failures : failure list;
 }
@@ -307,7 +300,6 @@ let report t ~cache:cs =
       List.sort compare
         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.failures_by_kind []);
     degraded_fetches = t.degraded_fetches;
-    policy_hits = t.policy_hits;
     quarantine_heals = t.quarantine_heals;
     recent_failures = t.recent_failures;
   }
@@ -399,7 +391,6 @@ let diff ~(before : report) (after : report) =
              | None -> (k, n))
            after.failures_by_kind);
     degraded_fetches = after.degraded_fetches - before.degraded_fetches;
-    policy_hits = after.policy_hits - before.policy_hits;
     quarantine_heals = after.quarantine_heals - before.quarantine_heals;
     recent_failures = after.recent_failures;
   }
@@ -438,9 +429,6 @@ let print (r : report) =
             s.wall_s)
         rr.stages)
     r.by_repr;
-  if r.policy_hits > 0 then
-    Printf.printf "tuned policy        %d fetches served by table lookup\n"
-      r.policy_hits;
   if r.decode_failures > 0 then begin
     Printf.printf
       "artifact faults     %d decode failures quarantined, %d fetches degraded\n"

@@ -28,7 +28,6 @@ val record_decode_failure :
     it by error kind, and keep it in the bounded recent-failures log. *)
 
 val record_degraded : t -> unit
-val record_policy_hit : t -> unit
 (** A fetch was served by a lower-ranked representation because the
     selector's first choice failed verification. *)
 
@@ -84,7 +83,6 @@ type report = {
   decode_failures : int;     (** artifacts that failed verification *)
   failures_by_kind : (string * int) list;
   degraded_fetches : int;    (** fetches served by a fallback representation *)
-  policy_hits : int;         (** fetches answered by the tuned policy table *)
   quarantine_heals : int;    (** quarantined artifacts rebuilt fresh *)
   recent_failures : failure list;  (** newest first, bounded *)
 }

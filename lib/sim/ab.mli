@@ -1,13 +1,9 @@
-(** A/B policy diffing: two engine configurations, one trace.
+(** A/B diffing: two engine configurations, one trace.
 
     Both sides replay the {e same} trace through {!Replay.run} (fresh
     engines, independent stores), so every divergence in the diff is
-    attributable to the configuration delta — typically a tuned
-    [POLICY.tune] table versus live scoring, or two cache budgets.
-
-    The gate consumed by [perf_gate --ab] is the flat [gate] object in
-    {!to_json}: side A's bytes-on-wire and overall p99 against side
-    B's. *)
+    attributable to the configuration delta — for instance two cache
+    budgets. *)
 
 type diff = {
   a : Replay.report;
@@ -16,7 +12,9 @@ type diff = {
   d_bytes_pct : float;    (** signed, relative to B (0 when B is 0) *)
   d_p99_ms : float;       (** overall p99 delta, A minus B *)
   d_hit_rate : float;     (** cache hit-rate delta, A minus B *)
-  same_events : bool;     (** event CRCs match — same requests hit both *)
+  same_events : bool;
+      (** event CRCs match: identical event logs — same picks, sizes
+          and cache hits on both sides *)
 }
 
 val run :
@@ -28,9 +26,8 @@ val render : diff -> string
     delta, plus per-op-class latency lines. *)
 
 val to_json : diff -> string
-(** ["mcc-ab 1"]: both full reports under ["a"] / ["b"], the deltas,
-    and the flat ["gate"] object ([a_bytes] / [b_bytes] / [a_p99_ms] /
-    [b_p99_ms]) that [perf_gate --ab] scans without a JSON parser. *)
+(** ["mcc-ab 1"]: both full reports under ["a"] / ["b"], then the
+    deltas. *)
 
 val indent : string -> string
 (** Two-space indent of every non-empty line — for nesting a rendered

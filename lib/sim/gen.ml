@@ -81,9 +81,7 @@ let gen_steady ~seed ~events ~keys =
 (* ---- flash crowd ---- *)
 
 (* A calm fleet, then a thundering herd on the hottest program at
-   near-zero gaps (a release announcement), then calm again. This is
-   the trace the A/B gate runs: the policy table's picks get hammered
-   where they matter most. *)
+   near-zero gaps (a release announcement), then calm again. *)
 let gen_flash_crowd ~seed ~events ~keys =
   let rng = Support.Prng.create seed in
   let calm = make_clients ~n:12 profile_names in

@@ -21,7 +21,6 @@ type report = {
   r_degraded : int;
   r_decode_failures : int;
   r_quarantine_heals : int;
-  r_policy_hits : int;
   r_fetch : opstats;
   r_stream : opstats;
   r_resume : opstats;
@@ -37,14 +36,12 @@ type report = {
 type config = {
   label : string;
   budget_bytes : int;
-  policy : Tune.Policy.t option;
   pool : Support.Pool.t option;
   contexted : bool;
 }
 
 let default_config =
-  { label = "replay"; budget_bytes = 256 * 1024; policy = None; pool = None;
-    contexted = true }
+  { label = "replay"; budget_bytes = 256 * 1024; pool = None; contexted = true }
 
 (* ---- shared plumbing ---- *)
 
@@ -153,7 +150,6 @@ let finish ~(config : config) ~(trace : Trace.t) ~before ~after acc =
     r_degraded = d.Server.Stats.degraded_fetches;
     r_decode_failures = d.Server.Stats.decode_failures;
     r_quarantine_heals = d.Server.Stats.quarantine_heals;
-    r_policy_hits = d.Server.Stats.policy_hits;
     r_fetch = opstats_of acc Trace.Fetch;
     r_stream = opstats_of acc Trace.Stream;
     r_resume = opstats_of acc Trace.Resume;
@@ -240,8 +236,7 @@ type stream_state = {
 
 let run ?(config = default_config) (trace : Trace.t) =
   let engine =
-    Server.create ?pool:config.pool ~budget_bytes:config.budget_bytes
-      ?policy:config.policy ()
+    Server.create ?pool:config.pool ~budget_bytes:config.budget_bytes ()
   in
   let _entries, by_name = catalog_for trace engine in
   let store = Server.store engine in
@@ -368,8 +363,7 @@ let rpc client req =
 
 let via_daemon ?(config = default_config) (trace : Trace.t) =
   let engine =
-    Server.create ?pool:config.pool ~budget_bytes:config.budget_bytes
-      ?policy:config.policy ()
+    Server.create ?pool:config.pool ~budget_bytes:config.budget_bytes ()
   in
   let entries, by_name = catalog_for trace engine in
   let store = Server.store engine in
@@ -572,7 +566,6 @@ let render (r : report) =
       Printf.sprintf "degraded         %d" r.r_degraded;
       Printf.sprintf "decode failures  %d" r.r_decode_failures;
       Printf.sprintf "quarantine heals %d" r.r_quarantine_heals;
-      Printf.sprintf "policy hits      %d" r.r_policy_hits;
       render_opstats "fetch" r.r_fetch;
       render_opstats "stream" r.r_stream;
       render_opstats "resume" r.r_resume;
@@ -604,7 +597,6 @@ let to_json (r : report) =
       Printf.sprintf "  \"degraded\": %d," r.r_degraded;
       Printf.sprintf "  \"decode_failures\": %d," r.r_decode_failures;
       Printf.sprintf "  \"quarantine_heals\": %d," r.r_quarantine_heals;
-      Printf.sprintf "  \"policy_hits\": %d," r.r_policy_hits;
       Printf.sprintf "  \"fetch\": %s," (json_opstats r.r_fetch);
       Printf.sprintf "  \"stream\": %s," (json_opstats r.r_stream);
       Printf.sprintf "  \"resume\": %s," (json_opstats r.r_resume);

@@ -1,6 +1,6 @@
 (** Deterministic trace replay against a fresh engine.
 
-    {!run} builds a {!Server.t} (budget/policy from the config),
+    {!run} builds a {!Server.t} (budget and pool from the config),
     publishes the trace's catalog flavor, then drives every event in
     order: fetches through [Server.fetch], streams through chunked
     sessions (handshake on a client's first touch of a program, the
@@ -39,7 +39,6 @@ type report = {
   r_degraded : int;
   r_decode_failures : int;
   r_quarantine_heals : int;
-  r_policy_hits : int;
   r_fetch : opstats;
   r_stream : opstats;       (** handshakes and chunks *)
   r_resume : opstats;
@@ -61,7 +60,6 @@ type report = {
 type config = {
   label : string;                (** report tag, e.g. ["A"] *)
   budget_bytes : int;
-  policy : Tune.Policy.t option;
   pool : Support.Pool.t option;
       (** compression pool handed to the engine (default: the shared
           pool). The determinism contract makes the report identical at
@@ -75,8 +73,7 @@ type config = {
 }
 
 val default_config : config
-(** label ["replay"], the engine's default budget, no policy table,
-    shared pool. *)
+(** label ["replay"], the engine's default budget, shared pool. *)
 
 val run : ?config:config -> Trace.t -> report
 (** @raise Failure on a trace that names an unknown catalog flavor,

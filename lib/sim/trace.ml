@@ -1,9 +1,8 @@
 (* The versioned fleet-trace format: mcc-trace 1.
 
-   Same shape as the policy table (mcc-policy 1): a version header, a
-   few "meta" provenance lines, then one "ev" line per request. Text on
-   purpose — traces are committed to the repo as golden scenarios, and
-   a reviewer must be able to read a diff of one.
+   A version header, a few "meta" provenance lines, then one "ev" line
+   per request. Text on purpose — traces are committed to the repo as
+   golden scenarios, and a reviewer must be able to read a diff of one.
 
    The reader treats its input as untrusted (traces cross machines and
    are fuzzed like every other decoder): every failure is a typed

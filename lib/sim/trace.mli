@@ -6,7 +6,7 @@
     optional fault directive (a {!Support.Fault} kind plus its PRNG
     seed) injected into the serving cache just before the event runs.
 
-    Line-based text, like [POLICY.tune] ([mcc-policy 1]):
+    Line-based text:
 
     {v
     mcc-trace 1

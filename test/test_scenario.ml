@@ -138,26 +138,48 @@ let test_layout_fresh_page_when_full () =
 
 let two_page_layout = { Scenario.Paging.seg_page = [| 0; 1; 2 |]; pages = 3 }
 
+let simulate budget trace =
+  Scenario.Paging.simulate
+    (Scenario.Paging.default_config ~resident_pages:budget)
+    two_page_layout trace
+
+(* a budget of 0 still holds the faulting page, so only an immediate
+   re-touch hits; max_int never evicts *)
 let test_lru_hits_and_faults () =
-  let cfg = Scenario.Paging.default_config ~resident_pages:2 in
   (* pages: 0 1 0 1 -> 2 faults then hits *)
-  let r = Scenario.Paging.simulate cfg two_page_layout [ 0; 1; 0; 1 ] in
-  Alcotest.(check int) "2 faults" 2 r.Scenario.Paging.faults;
-  Alcotest.(check int) "4 refs" 4 r.Scenario.Paging.references
+  List.iter
+    (fun (budget, faults) ->
+      let r = simulate budget [ 0; 1; 0; 1 ] in
+      Alcotest.(check int)
+        (Printf.sprintf "faults at budget %d" budget)
+        faults r.Scenario.Paging.faults;
+      Alcotest.(check int) "4 refs" 4 r.Scenario.Paging.references)
+    [ (2, 2); (0, 4); (max_int, 2) ]
 
 let test_lru_eviction_order () =
-  let cfg = Scenario.Paging.default_config ~resident_pages:2 in
   (* 0 1 2 evicts 0 (LRU); touching 0 again faults *)
-  let r = Scenario.Paging.simulate cfg two_page_layout [ 0; 1; 2; 0 ] in
-  Alcotest.(check int) "4 faults" 4 r.Scenario.Paging.faults;
+  List.iter
+    (fun (budget, faults) ->
+      Alcotest.(check int)
+        (Printf.sprintf "0 1 2 0 faults at budget %d" budget)
+        faults (simulate budget [ 0; 1; 2; 0 ]).Scenario.Paging.faults)
+    [ (2, 4); (0, 4); (max_int, 3) ];
   (* 0 1 2 1 0: after 2, resident {2,1}; 1 hits; 0 faults *)
-  let r2 = Scenario.Paging.simulate cfg two_page_layout [ 0; 1; 2; 1; 0 ] in
-  Alcotest.(check int) "lru keeps recent" 4 r2.Scenario.Paging.faults
+  List.iter
+    (fun (budget, faults) ->
+      Alcotest.(check int)
+        (Printf.sprintf "lru keeps recent at budget %d" budget)
+        faults (simulate budget [ 0; 1; 2; 1; 0 ]).Scenario.Paging.faults)
+    [ (2, 4); (0, 5); (max_int, 3) ]
 
 let test_working_set_counts_distinct () =
-  let cfg = Scenario.Paging.default_config ~resident_pages:8 in
-  let r = Scenario.Paging.simulate cfg two_page_layout [ 0; 0; 1; 1; 0 ] in
-  Alcotest.(check int) "two pages touched" 2 r.Scenario.Paging.working_set_pages
+  List.iter
+    (fun budget ->
+      Alcotest.(check int)
+        (Printf.sprintf "two pages touched at budget %d" budget)
+        2
+        (simulate budget [ 0; 0; 1; 1; 0 ]).Scenario.Paging.working_set_pages)
+    [ 8; 0; max_int ]
 
 let test_fault_time_includes_decompress () =
   let base = Scenario.Paging.default_config ~resident_pages:1 in
