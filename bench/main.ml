@@ -461,78 +461,72 @@ let ablation_k () =
 
 (* ---- the code-delivery server (lib/server) ---- *)
 
-let workload_config = { Server.Workload.default_config with requests = 240 }
+(* One seeded steady trace over the catalog flavor the drivers publish,
+   replayed on fresh engines: a replay covers exactly the requests, so
+   its diffed stats are the serve phase alone (publish-time compression
+   is paid identically by every server and would drown the cache's
+   effect). *)
+let server_trace =
+  lazy
+    (let flavor = if quick then Sim.Catalog.Quick else Sim.Catalog.Full in
+     let keys =
+       List.map
+         (fun (e : Server.Workload.entry) -> e.Server.Workload.name)
+         (Sim.Catalog.publish (Server.create ()) flavor)
+     in
+     let steady = Option.get (Sim.Gen.find "steady") in
+     let t = steady.Sim.Gen.generate ~seed:42L ~events:240 ~keys in
+     ({ t with Sim.Trace.catalog = Sim.Catalog.flavor_name flavor },
+      List.length keys))
 
-let server_catalog engine =
-  let generated =
-    if quick then [ { Corpus.Gen.functions = 12; seed = 1017L; bias16 = false } ]
-    else Server.Workload.default_generated
-  in
-  Server.Workload.build_catalog ~generated engine
+let server_replay budget_bytes =
+  let trace, _ = Lazy.force server_trace in
+  (Sim.Replay.run
+     ~config:{ Sim.Replay.default_config with budget_bytes }
+     trace)
+    .Sim.Replay.r_stats
 
 let compress_time rep =
   List.fold_left
     (fun a rr -> a +. rr.Server.Stats.compress_total_s)
     0.0 rep.Server.Stats.by_repr
 
-(* run the seeded workload against one engine; compression time is the
-   workload phase only (publish-time compression is paid identically by
-   every server and would drown the cache's effect) *)
-let server_run engine =
-  let catalog = server_catalog engine in
-  let publish_compress_s = compress_time (Server.report engine) in
-  let summary, wall =
-    time (fun () -> Server.Workload.run engine ~config:workload_config catalog)
-  in
-  let serve_compress_s =
-    compress_time summary.Server.Workload.report -. publish_compress_s
-  in
-  (catalog, summary, wall, serve_compress_s)
+(* the artifacts whole-image fetches were served from, registry order *)
+let served_reprs rep =
+  List.filter_map
+    (fun rr ->
+      if rr.Server.Stats.responses > 0 then
+        Some (Server.Artifact.name rr.Server.Stats.repr)
+      else None)
+    rep.Server.Stats.by_repr
 
 let scenario_server () =
   hr "Scenario — code-delivery server (cache + adaptive selection)";
-  (* adaptive server with a byte-budgeted cache vs a zero-byte cache
-     that forces every request to compress from scratch *)
-  let engine = Server.create ~budget_bytes:(256 * 1024) () in
-  let catalog, summary, adaptive_wall, adaptive_compress = server_run engine in
-  let r = summary.Server.Workload.report in
-  let engine0 = Server.create ~budget_bytes:0 () in
-  let _, summary0, recompress_wall, recompress_compress = server_run engine0 in
-  let r0 = summary0.Server.Workload.report in
-  Printf.printf "%d requests over %d programs, 4 client profiles\n"
-    summary.Server.Workload.requests (List.length catalog);
-  Printf.printf "%-22s %12s %16s %12s\n" "server" "hit rate"
-    "serve compress" "wall clock";
-  Printf.printf "%-22s %11.1f%% %15.3fs %11.3fs\n" "cached (256 KB)"
-    (100.0 *. r.Server.Stats.cache_hit_rate)
-    adaptive_compress adaptive_wall;
-  Printf.printf "%-22s %11.1f%% %15.3fs %11.3fs\n" "always-recompress"
-    (100.0 *. r0.Server.Stats.cache_hit_rate)
-    recompress_compress recompress_wall;
-  Printf.printf
-    "\nadaptive vs one-size-fits-all, same %d fetches (modelled client time):\n"
-    summary.Server.Workload.fetches;
-  Printf.printf "  %-18s %12s %14s\n" "policy" "total time" "bytes shipped";
-  Printf.printf "  %-18s %11.1fs %14s\n" "adaptive"
-    summary.Server.Workload.adaptive_s
-    (Support.Util.human_bytes summary.Server.Workload.adaptive_fetch_bytes);
+  (* a byte-budgeted cache vs a zero-byte cache that forces every
+     request to compress from scratch, over the same trace *)
+  let r = server_replay (256 * 1024) in
+  let r0 = server_replay 0 in
+  let trace, programs = Lazy.force server_trace in
+  Printf.printf "%d-event steady trace over %d programs, 4 client profiles\n"
+    (List.length trace.Sim.Trace.events) programs;
+  Printf.printf "%-22s %12s %16s\n" "server" "hit rate" "serve compress";
   List.iter
-    (fun b ->
-      Printf.printf "  %-18s %11.1fs %14s\n"
-        ("all " ^ Scenario.Delivery.repr_name b.Server.Workload.fixed)
-        b.Server.Workload.modelled_s
-        (Support.Util.human_bytes b.Server.Workload.wire_bytes))
-    summary.Server.Workload.baselines;
+    (fun (name, rep) ->
+      Printf.printf "%-22s %11.1f%% %15.3fs\n" name
+        (100.0 *. rep.Server.Stats.cache_hit_rate)
+        (compress_time rep))
+    [ ("cached (256 KB)", r); ("always-recompress", r0) ];
+  Printf.printf "\nfetches served from: %s\n"
+    (String.concat ", " (served_reprs r));
   Printf.printf
-    "\nchunked sessions: %d chunks streamed, %s vs %s as whole wire images\n"
+    "chunked sessions: %d chunks streamed, %s vs %s as whole wire images\n"
     r.Server.Stats.chunks_served
     (Support.Util.human_bytes r.Server.Stats.session_bytes)
     (Support.Util.human_bytes r.Server.Stats.session_wire_equiv);
   print_endline
-    "the cache amortizes compression across requests; per-client selection";
+    "the cache amortizes compression across requests; each fetch serves";
   print_endline
-    "never loses to a fixed representation and ships it to clients a";
-  print_endline "one-size-fits-all server couldn't serve at all (§4.5)"
+    "the feasible representation with the least modelled total time (§4.5)"
 
 (* ---- --json: machine-readable sizes + rates ---- *)
 
@@ -844,24 +838,18 @@ let json_report () =
     Scenario.Delivery.default_rates.Scenario.Delivery.interp_slowdown;
   (* per-stage matrix for every registered codec (wc point) *)
   add "  \"codecs\":\n%s,\n" (codec_point_json ~indent:"  " (List.nth pts 0));
-  (* server workload summary *)
-  let engine = Server.create ~budget_bytes:(256 * 1024) () in
-  let catalog = server_catalog engine in
-  let summary = Server.Workload.run engine ~config:workload_config catalog in
-  let r = summary.Server.Workload.report in
+  (* server replay summary *)
+  let r = server_replay (256 * 1024) in
   add
     "  \"server\": {\"requests\": %d, \"cache_hit_rate\": %.4f, \
-     \"evictions\": %d, \"bytes_on_wire\": %d, \"adaptive_modelled_s\": %.2f, \
-     \"session_bytes\": %d, \"session_wire_equiv_bytes\": %d, \
-     \"distinct_reprs\": [%s]}\n"
+     \"evictions\": %d, \"bytes_on_wire\": %d, \"session_bytes\": %d, \
+     \"session_wire_equiv_bytes\": %d, \"distinct_reprs\": [%s]}\n"
     r.Server.Stats.requests r.Server.Stats.cache_hit_rate
     r.Server.Stats.cache.Server.Cache.evictions
-    r.Server.Stats.total_bytes_served summary.Server.Workload.adaptive_s
-    r.Server.Stats.session_bytes r.Server.Stats.session_wire_equiv
+    r.Server.Stats.total_bytes_served r.Server.Stats.session_bytes
+    r.Server.Stats.session_wire_equiv
     (String.concat ", "
-       (List.map
-          (fun s -> "\"" ^ json_escape s ^ "\"")
-          summary.Server.Workload.distinct_reprs));
+       (List.map (fun s -> "\"" ^ json_escape s ^ "\"") (served_reprs r)));
   add "}\n";
   print_string (Buffer.contents b)
 

@@ -144,27 +144,36 @@ let parse (s : string) : row list * size_row list =
 
 let min_qps = 1000.0
 
-(* Last numeric value of a key: the summary counters come after the
-   echoed "config" object (which reuses "qps" for the requested rate),
-   so the last occurrence is the measured one. *)
-let scan_number (s : string) key =
+(* Every numeric value of a key, in document order. The paging report
+   repeats the same keys once per corpus point (and per budget row), so
+   its gates pair up src/hot arrays positionally. *)
+let scan_all (s : string) key =
   let pat = "\"" ^ key ^ "\":" in
   let n = String.length s and pn = String.length pat in
-  let rec find i best =
-    if i + pn > n then best
-    else if String.sub s i pn = pat then begin
-      let j = ref (i + pn) in
+  let acc = ref [] in
+  let i = ref 0 in
+  while !i + pn <= n do
+    if String.sub s !i pn = pat then begin
+      let j = ref (!i + pn) in
       while !j < n && s.[!j] = ' ' do incr j done;
       let k = ref !j in
       let is_num c = (c >= '0' && c <= '9') || c = '-' || c = '.' || c = 'e' in
       while !k < n && is_num s.[!k] do incr k done;
-      if !k > !j then
-        find !k (Some (float_of_string (String.sub s !j (!k - !j))))
-      else find (i + 1) best
+      if !k > !j then begin
+        acc := float_of_string (String.sub s !j (!k - !j)) :: !acc;
+        i := !k
+      end
+      else incr i
     end
-    else find (i + 1) best
-  in
-  find 0 None
+    else incr i
+  done;
+  List.rev !acc
+
+(* Last numeric value of a key: the summary counters come after the
+   echoed "config" object (which reuses "qps" for the requested rate),
+   so the last occurrence is the measured one. *)
+let scan_number s key =
+  match List.rev (scan_all s key) with v :: _ -> Some v | [] -> None
 
 let server_gate path =
   let s = read_file path in
@@ -259,31 +268,6 @@ let storm_gate path =
 
 (* ---- --paging mode: demand-paged execution + hot-layout gate over
    BENCH_paging.json ---- *)
-
-(* Every numeric value of a key, in document order. The paging report
-   repeats the same keys once per corpus point (and per budget row), so
-   the gates below pair up src/hot arrays positionally. *)
-let scan_all (s : string) key =
-  let pat = "\"" ^ key ^ "\":" in
-  let n = String.length s and pn = String.length pat in
-  let acc = ref [] in
-  let i = ref 0 in
-  while !i + pn <= n do
-    if String.sub s !i pn = pat then begin
-      let j = ref (!i + pn) in
-      while !j < n && s.[!j] = ' ' do incr j done;
-      let k = ref !j in
-      let is_num c = (c >= '0' && c <= '9') || c = '-' || c = '.' || c = 'e' in
-      while !k < n && is_num s.[!k] do incr k done;
-      if !k > !j then begin
-        acc := float_of_string (String.sub s !j (!k - !j)) :: !acc;
-        i := !k
-      end
-      else incr i
-    end
-    else incr i
-  done;
-  List.rev !acc
 
 (* Ceilings pinned from the committed BENCH_paging.json (gen-80/120/300,
    repeat 8, budgets 50/25/12%) with headroom for corpus churn: the

@@ -2,16 +2,13 @@
 
      dune exec bin/mccsim.exe -- record --scenario flash-crowd \
        --catalog quick --events 400 --seed 42 --out traces/flash_crowd.trace
-     dune exec bin/mccsim.exe -- record --out workload.trace   # capture a live run
      dune exec bin/mccsim.exe -- replay traces/flash_crowd.trace --json
      dune exec bin/mccsim.exe -- ab traces/flash_crowd.trace --a-budget 8192
 
-   [record --scenario] synthesizes a trace from a named generator;
-   without a scenario it runs the synthetic workload against a live
-   engine and captures what the observer hook sees. [replay] replays a
-   trace deterministically (in-process, or --daemon for the loopback
-   TCP path). [ab] replays the same trace under two cache budgets and
-   reports the diff. *)
+   [record] synthesizes a trace from a named generator. [replay]
+   replays a trace deterministically (in-process, or --daemon for the
+   loopback TCP path). [ab] replays the same trace under two cache
+   budgets and reports the diff. *)
 
 let fail fmt = Printf.ksprintf failwith fmt
 
@@ -37,47 +34,23 @@ let write_out out s =
 
 (* ---- record ---- *)
 
-let record scenario catalog seed events out =
-  let flavor = flavor_of catalog in
-  let trace =
-    match scenario with
-    | Some sname ->
-      let spec =
-        match Sim.Gen.find sname with
-        | Some s -> s
-        | None ->
-          fail "mccsim: unknown scenario %s (have: %s)" sname
-            (String.concat ", "
-               (List.map (fun s -> s.Sim.Gen.sname) Sim.Gen.all))
-      in
-      (* the generator only needs the key space, but key names come
-         from a published catalog, so cut one on a scratch engine *)
-      let engine = Server.create () in
-      let keys =
-        List.map
-          (fun (e : Server.Workload.entry) -> e.Server.Workload.name)
-          (Sim.Catalog.publish engine flavor)
-      in
-      let t =
-        spec.Sim.Gen.generate ~seed:(Int64.of_int seed) ~events ~keys
-      in
-      { t with Sim.Trace.catalog }
+let record sname catalog seed events out =
+  let spec =
+    match Sim.Gen.find sname with
+    | Some s -> s
     | None ->
-      let engine = Server.create () in
-      let entries = Sim.Catalog.publish engine flavor in
-      let config =
-        { Server.Workload.default_config with
-          requests = events;
-          seed = Int64.of_int seed;
-        }
-      in
-      let summary, t =
-        Sim.Record.of_workload engine ~config ~catalog_name:catalog entries
-      in
-      Printf.printf "mccsim: captured %d workload requests\n"
-        summary.Server.Workload.requests;
-      t
+      fail "mccsim: unknown scenario %s (have: %s)" sname
+        (String.concat ", " (List.map (fun s -> s.Sim.Gen.sname) Sim.Gen.all))
   in
+  (* the generator only needs the key space, but key names come from a
+     published catalog, so cut one on a scratch engine *)
+  let keys =
+    List.map
+      (fun (e : Server.Workload.entry) -> e.Server.Workload.name)
+      (Sim.Catalog.publish (Server.create ()) (flavor_of catalog))
+  in
+  let t = spec.Sim.Gen.generate ~seed:(Int64.of_int seed) ~events ~keys in
+  let trace = { t with Sim.Trace.catalog } in
   Sim.Trace.save out trace;
   Printf.printf "mccsim: %s: %d events (%s over %s, seed %d)\n" out
     (List.length trace.Sim.Trace.events)
@@ -184,22 +157,20 @@ let budget_arg names doc =
 
 let record_cmd =
   let scenario =
-    Arg.(value & opt (some string) None & info [ "scenario" ] ~docv:"NAME"
-         ~doc:"Synthesize a named scenario (steady, flash-crowd, \
-               corruption-burst, mixed-profiles, update-storm) instead of \
-               capturing a live workload run.")
+    Arg.(required & opt (some string) None & info [ "scenario" ] ~docv:"NAME"
+         ~doc:"The scenario to synthesize: steady, flash-crowd, \
+               corruption-burst, mixed-profiles, update-storm or paging.")
   in
   let events =
     Arg.(value & opt int 400 & info [ "events" ] ~docv:"N"
-         ~doc:"Events to synthesize (or workload requests to capture).")
+         ~doc:"Events to synthesize.")
   in
   let out =
     Arg.(required & opt (some string) None & info [ "out" ] ~docv:"FILE"
          ~doc:"Trace file to write.")
   in
   Cmd.v
-    (Cmd.info "record" ~doc:"Cut a trace: synthesize a scenario or capture \
-                             a live workload run")
+    (Cmd.info "record" ~doc:"Cut a trace from a named scenario generator")
     Term.(const record $ scenario $ catalog $ seed $ events $ out)
 
 let trace_file =

@@ -9,11 +9,11 @@
    the percentiles instead of silently stretching the run
    (closed-loop generators hide overload; open-loop ones expose it).
 
-   The workload mirrors [Server.Workload]: Zipf-ish program popularity
-   (weight 1000/(rank+1) in catalog order), a profile drawn per fetch,
-   and a configurable slice of streaming clients that open a chunked
-   session and page functions in. Everything is seeded [Support.Prng],
-   so a run is reproducible.
+   The workload mirrors [Sim.Gen]'s steady fleet: Zipf-ish program
+   popularity (weight 1000/(rank+1) in catalog order), a profile drawn
+   per fetch, and a configurable slice of streaming clients that open a
+   chunked session and page functions in. Everything is seeded
+   [Support.Prng], so a run is reproducible.
 
    Every response is verified end-to-end when [verify] is set: whole
    artifacts go through their named codec's total decoder, chunk
@@ -84,19 +84,8 @@ type report = {
 
 type op_kind = Fetch_op | Open_op | Chunk_op
 
-(* One op as the generator decided it, before the wire: enough for a
-   trace recorder to reconstruct the request stream. Callbacks are
-   serialized under an internal mutex (clients run on many threads). *)
-type observation = {
-  obs_client : int;           (* client index, 0.. *)
-  obs_kind : op_kind;
-  obs_digest : string;
-  obs_profile : string;       (* "" for open/chunk ops *)
-}
-
 type session_state = {
   token : string;
-  sdigest : string;           (* program the session streams *)
   names : string array;       (* the session's index *)
   mutable seq : int;
   mutable left : int;         (* chunks still to pull in this session *)
@@ -129,18 +118,9 @@ let verify_chunk payload =
 let zipf_weights catalog =
   List.mapi (fun rank row -> (1000 / (rank + 1), row)) catalog
 
-let run ?observe (cfg : config) =
+let run (cfg : config) =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let obs_mu = Mutex.create () in
-  let observed o =
-    match observe with
-    | None -> ()
-    | Some f ->
-      Mutex.lock obs_mu;
-      (try f o with e -> Mutex.unlock obs_mu; raise e);
-      Mutex.unlock obs_mu
-  in
   (* one bootstrap connection pulls the catalog all clients share *)
   let catalog =
     let c = Client.connect ~port:cfg.port in
@@ -200,33 +180,26 @@ let run ?observe (cfg : config) =
           acc.c_errors <- acc.c_errors + 1;
           sample "connect refused"
         | Some c ->
-          let kind, req, digest, prof =
+          let kind, req =
             match !session with
             | Some s when s.left > 0 && Array.length s.names > 0 ->
               let name = s.names.(Support.Prng.int prng (Array.length s.names)) in
-              (Chunk_op,
-               Protocol.Chunk { token = s.token; seq = s.seq; name },
-               s.sdigest, "")
+              (Chunk_op, Protocol.Chunk { token = s.token; seq = s.seq; name })
             | _ ->
               let row = Support.Prng.weighted prng weights in
               if Support.Prng.int prng 100 < cfg.stream_pct then
                 (Open_op,
                  Protocol.Open
                    { codec = ""; digest = row.Protocol.prog_digest;
-                     resume = ""; held = [] },
-                 row.Protocol.prog_digest, "")
+                     resume = ""; held = [] })
               else
                 let profile =
                   profiles.(Support.Prng.int prng (Array.length profiles))
                 in
                 (Fetch_op,
                  Protocol.Fetch
-                   { profile; digest = row.Protocol.prog_digest; held = [] },
-                 row.Protocol.prog_digest, profile)
+                   { profile; digest = row.Protocol.prog_digest; held = [] })
           in
-          observed
-            { obs_client = idx; obs_kind = kind; obs_digest = digest;
-              obs_profile = prof };
           acc.c_sent <- acc.c_sent + 1;
           (match Client.rpc c req with
           | Error e ->
@@ -258,7 +231,6 @@ let run ?observe (cfg : config) =
                 Some
                   {
                     token;
-                    sdigest = digest;
                     names = Array.of_list (List.map fst rows);
                     seq = next_seq;
                     left = cfg.chunks_per_session;

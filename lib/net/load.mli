@@ -58,24 +58,11 @@ type report = {
   error_samples : string list;
 }
 
-type op_kind = Fetch_op | Open_op | Chunk_op
-
-type observation = {
-  obs_client : int;           (** client index, 0.. *)
-  obs_kind : op_kind;
-  obs_digest : string;
-  obs_profile : string;       (** [""] for open/chunk ops *)
-}
-(** One op as the generator decided it, before the wire — enough for a
-    trace recorder to reconstruct the request stream. *)
-
-val run : ?observe:(observation -> unit) -> config -> report
+val run : config -> report
 (** Drive a daemon already listening on [config.port]. The workload is
     seeded and reproducible: Zipf-weighted program popularity over the
     server's catalog, per-fetch profile draw, [stream_pct]% streaming
-    sessions paging [chunks_per_session] chunks each. [observe] sees
-    every op as it is issued; calls are serialized under an internal
-    mutex (clients run on many threads).
+    sessions paging [chunks_per_session] chunks each.
     @raise Failure when the catalog cannot be fetched or is empty. *)
 
 val print_human : out_channel -> report -> unit

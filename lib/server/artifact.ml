@@ -65,17 +65,3 @@ let brisc = by_name "brisc"
 let wire_shared = by_name "wire+shared"
 let brisc_shared = by_name "brisc+shared"
 let delta = by_name "delta"
-
-(* Legacy size-card mapping: which canonical artifact a delivery-model
-   representation ships. The registry-driven engine picks per-codec
-   candidates instead; this backs the sizes-record paths. *)
-let of_delivery = function
-  | Scenario.Delivery.Raw_native -> native
-  | Scenario.Delivery.Gzipped_native -> gzip_native
-  | Scenario.Delivery.Wire_format -> wire
-  | Scenario.Delivery.Brisc_jit | Scenario.Delivery.Brisc_interp -> brisc
-
-let to_delivery r =
-  match modes r with
-  | m :: _ -> m
-  | [] -> Scenario.Delivery.Wire_format (* streaming-only: wire-equivalent *)

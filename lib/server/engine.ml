@@ -38,7 +38,6 @@ let create ?pool ?shards ?(budget_bytes = default_budget_bytes)
 let publish t ?run_cycles ?input p = Store.publish t.store ?run_cycles ?input p
 let digests t = Store.digests t.store
 let store t = t.store
-let sizes_of t digest = (Store.meta t.store digest).Store.sizes
 
 (* How a response describes itself: the artifact's registry name plus
    the delivery mode's preparation verb. *)
@@ -68,16 +67,6 @@ type response = {
 let session_cycles t (m : Store.meta) =
   max m.Store.run_cycles t.min_session_cycles
 
-let select t digest (profile : Profile.t) =
-  let m = Store.meta t.store digest in
-  Profile.select ~rates:t.rates profile m.Store.sizes
-    ~run_cycles:(session_cycles t m)
-
-let outcome_for t digest (profile : Profile.t) repr =
-  let m = Store.meta t.store digest in
-  Scenario.Delivery.total_time ~rates:t.rates m.Store.sizes
-    ~run_cycles:(session_cycles t m) ~link_bps:profile.Profile.link_bps repr
-
 (* Every (artifact, mode) pair the registry offers this client, minus
    artifacts that already failed verification this fetch. Feasibility is
    per concrete artifact: the mode's resident-memory rule applied to the
@@ -89,7 +78,7 @@ let outcome_for t digest (profile : Profile.t) repr =
    it names a previously published program — then the patch against
    that base competes on its actual bytes like any other candidate. *)
 let candidates t (m : Store.meta) (profile : Profile.t) ~held ~failed digest =
-  let native_bytes = m.Store.sizes.Scenario.Delivery.native_bytes in
+  let native_bytes = Store.size_of m Artifact.native in
   let feasible r mode artifact_bytes ctx =
     if Profile.mode_feasible profile ~mode ~artifact_bytes ~native_bytes then
       Some (r, mode, artifact_bytes, ctx)
@@ -152,7 +141,7 @@ let candidates t (m : Store.meta) (profile : Profile.t) ~held ~failed digest =
 
 (* In-place interpretation is the mode of last resort: when nothing fits
    the client's constraints, serve any live artifact that can be
-   interpreted, memory rule waived (as the legacy selector did). *)
+   interpreted, memory rule waived. *)
 let last_resort (m : Store.meta) ~failed =
   List.filter_map
     (fun r ->
@@ -166,7 +155,7 @@ let last_resort (m : Store.meta) ~failed =
 let fetch ?(held = []) t digest (profile : Profile.t) =
   Stats.record_request t.stats;
   let m = Store.meta t.store digest in
-  let native_bytes = m.Store.sizes.Scenario.Delivery.native_bytes in
+  let native_bytes = Store.size_of m Artifact.native in
   let run_cycles = session_cycles t m in
   (* Degradation loop: when the chosen artifact fails verification,
      quarantine it (the store rebuilds it fresh on the next request)

@@ -1,5 +1,5 @@
 (** The code-delivery engine: content-addressed artifact store + LRU
-    cache behind a per-request adaptive representation selector, plus
+    cache behind per-request adaptive representation selection, plus
     streaming chunked sessions. *)
 
 type t
@@ -27,7 +27,6 @@ val publish : t -> ?run_cycles:int -> ?input:string -> Ir.Tree.program -> string
 (** See {!Store.publish}. *)
 
 val digests : t -> string list
-val sizes_of : t -> string -> Scenario.Delivery.sizes
 val store : t -> Store.t
 
 type response = {
@@ -50,18 +49,6 @@ type response = {
           for context-free representations. The client must decode
           with the matching context. *)
 }
-
-val select :
-  t -> string -> Profile.t ->
-  Scenario.Delivery.representation * Scenario.Delivery.outcome
-(** The selector alone (no bytes served) — what {!fetch} will choose. *)
-
-val outcome_for :
-  t -> string -> Profile.t -> Scenario.Delivery.representation ->
-  Scenario.Delivery.outcome
-(** Modelled client timing of one {e fixed} representation for this
-    profile — what a one-size-fits-all server would cost, which the
-    bench compares against the adaptive selector. *)
 
 val fetch : ?held:string list -> t -> string -> Profile.t -> response
 (** One whole-image request: enumerate the registry's (artifact, mode)

@@ -1,10 +1,9 @@
-(* Client profiles and the adaptive representation selector.
+(* Client profiles.
 
    A profile is what the server knows about a client: its link speed,
    whether it can JIT, whether our native images even run there, and
-   its memory budget. The selector filters the delivery-model
-   representations down to what the client can use, then asks
-   [Scenario.Delivery.best_of] which of those minimizes total time
+   its memory budget. [mode_feasible] gates each (artifact, mode)
+   candidate; [Engine.fetch] then picks the one minimizing total time
    (transfer + prepare + run) at the client's link speed — the paper's
    modem/LAN crossover, applied per request. *)
 
@@ -23,7 +22,7 @@ let make ?(can_jit = true) ?(accepts_native = false) ?memory_bytes
     ?(prefers_streaming = false) name ~link_bps =
   { name; link_bps; can_jit; accepts_native; memory_bytes; prefers_streaming }
 
-(* The driver's default population, spanning the paper's crossover. *)
+(* The default client population, spanning the paper's crossover. *)
 let modem = make "modem-jit" ~link_bps:Scenario.Delivery.modem_bps
 let lan = make "lan-jit" ~link_bps:Scenario.Delivery.lan_bps
 
@@ -35,10 +34,9 @@ let datacenter =
   make "datacenter" ~link_bps:Scenario.Delivery.fast_lan_bps
     ~accepts_native:true
 
-(* Per-mode gating for one concrete artifact, mirroring [feasible]'s
-   group rules: whole-image modes that materialize native code are
-   bounded by the native image's resident size; in-place interpretation
-   only by the artifact itself. *)
+(* Per-mode gating for one concrete artifact: whole-image modes that
+   materialize native code are bounded by the native image's resident
+   size; in-place interpretation only by the artifact itself. *)
 let mode_feasible p ~mode ~artifact_bytes ~native_bytes =
   let fits resident =
     match p.memory_bytes with None -> true | Some m -> resident <= m
@@ -49,30 +47,3 @@ let mode_feasible p ~mode ~artifact_bytes ~native_bytes =
   | Scenario.Delivery.Wire_format | Scenario.Delivery.Brisc_jit ->
     p.can_jit && fits native_bytes
   | Scenario.Delivery.Brisc_interp -> fits artifact_bytes
-
-let feasible p (sizes : Scenario.Delivery.sizes) =
-  let fits resident =
-    match p.memory_bytes with None -> true | Some m -> resident <= m
-  in
-  (* resident cost: anything that materializes native code holds the
-     native image; in-place interpretation holds only the BRISC bytes *)
-  let native_ok = fits sizes.Scenario.Delivery.native_bytes in
-  let cands =
-    (if p.accepts_native && native_ok then
-       [ Scenario.Delivery.Raw_native; Scenario.Delivery.Gzipped_native ]
-     else [])
-    @ (if p.can_jit && native_ok then
-         [ Scenario.Delivery.Wire_format; Scenario.Delivery.Brisc_jit ]
-       else [])
-    @
-    if fits sizes.Scenario.Delivery.brisc_bytes then
-      [ Scenario.Delivery.Brisc_interp ]
-    else []
-  in
-  (* in-place interpretation is the representation of last resort: it
-     needs no preparation memory beyond the image itself *)
-  if cands = [] then [ Scenario.Delivery.Brisc_interp ] else cands
-
-let select ?rates p sizes ~run_cycles =
-  Scenario.Delivery.best_of ?rates (feasible p sizes) sizes ~run_cycles
-    ~link_bps:p.link_bps

@@ -1,4 +1,4 @@
-(** Client profiles and the adaptive representation selector. *)
+(** Client profiles: what the engine knows about who is fetching. *)
 
 type t = {
   name : string;
@@ -35,23 +35,11 @@ val embedded : t
 val datacenter : t
 (** 100 Mbit link, native-compatible — raw native code territory. *)
 
-val feasible : t -> Scenario.Delivery.sizes -> Scenario.Delivery.representation list
-(** The delivery representations this client can actually use, given
-    the program's size card. Never empty: in-place interpretation is
-    the last resort. *)
-
 val mode_feasible :
   t -> mode:Scenario.Delivery.representation -> artifact_bytes:int ->
   native_bytes:int -> bool
-(** Per-mode gating for one concrete artifact, mirroring {!feasible}'s
-    group rules. Used by the registry-driven engine, which enumerates
-    (codec, mode) candidates instead of the closed size card. *)
-
-val select :
-  ?rates:Scenario.Delivery.rates ->
-  t ->
-  Scenario.Delivery.sizes ->
-  run_cycles:int ->
-  Scenario.Delivery.representation * Scenario.Delivery.outcome
-(** Total-time-minimizing feasible representation at this client's link
-    speed, via {!Scenario.Delivery.best_of}. *)
+(** Whether this client can use one concrete artifact in one delivery
+    mode. Modes that materialize native code must accept native code
+    (raw or gzipped) or JIT (wire, BRISC) and fit the native image in
+    memory; in-place interpretation only has to fit the artifact.
+    [Engine.fetch] scores every (codec, mode) candidate that passes. *)

@@ -3,7 +3,7 @@
    [Server] itself is the engine (create / publish / fetch /
    open_session / report); the submodules expose the parts — the
    artifact vocabulary, the LRU cache, client profiles, streaming
-   sessions, the stats layer, and the synthetic workload driver. *)
+   sessions, the stats layer, and the published catalog. *)
 
 module Artifact = Artifact
 module Cache = Cache

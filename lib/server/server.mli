@@ -1,18 +1,20 @@
-(** The code-delivery server (ROADMAP: serve compressed code at scale).
+(** The code-delivery server.
 
     Sits on top of the compressors the paper built: a content-addressed
     artifact store compresses each published program once per
     representation and serves it many times through a byte-budgeted LRU
-    {!Cache}; an adaptive selector picks, per request, the total-time-
-    minimizing representation the client {!Profile} can use (the
-    paper's modem/LAN crossover applied online via
-    {!Scenario.Delivery.best_of}); paging clients stream one
-    {!Wire.Chunked} function chunk per request over a resumable
-    {!Session}; and {!Stats.report} snapshots cache behaviour, bytes
-    served per representation and compression-time histograms.
+    {!Cache}; each fetch scores every registered (artifact, mode)
+    candidate the client {!Profile} can use and serves the one with the
+    least modelled transfer + preparation + run time (the paper's
+    modem/LAN crossover applied online, over each artifact's stored
+    size); paging clients stream one {!Wire.Chunked} function chunk per
+    request over a resumable {!Session}; and {!Stats.report} snapshots
+    cache behaviour, bytes served per representation and
+    compression-time histograms.
 
     [Server] itself is the engine: [create], [publish], [fetch],
-    [open_session], [report]. See [bin/mccd.ml] for the driver. *)
+    [open_session], [report]. [bin/mccd.ml] serves it over TCP;
+    [Sim.Replay] drives it from traces. *)
 
 module Artifact = Artifact
 module Cache = Cache

@@ -72,7 +72,7 @@ let open_artifact store stats digest artifact =
   let image = chunked_image store stats digest artifact in
   let hs = handshake_bytes image in
   Stats.record_session_opened stats ~handshake_bytes:hs
-    ~wire_equiv_bytes:m.Store.sizes.Scenario.Delivery.wire_bytes;
+    ~wire_equiv_bytes:(Store.size_of m Artifact.wire);
   {
     digest;
     image;

@@ -38,7 +38,6 @@
 
 type meta = {
   ir : Ir.Tree.program;
-  sizes : Scenario.Delivery.sizes;
   sizes_by : (string * int) list;  (* artifact name -> stored bytes *)
   run_cycles : int;         (* measured (or estimated) native cycles *)
   fn_names : string list;
@@ -144,8 +143,6 @@ let cache_stats t =
     }
     t.shards
 
-let shard_count t = Array.length t.shards
-
 (* ---- locked metadata access ---- *)
 
 let with_meta_mu t f =
@@ -166,8 +163,6 @@ let size_of (m : meta) repr =
   match List.assoc_opt (Artifact.name repr) m.sizes_by with
   | Some n -> n
   | None -> 0
-
-let chunked_bytes m = size_of m Artifact.chunked_wire
 
 let digests t = with_meta_mu t (fun () -> List.rev t.order)
 
@@ -439,21 +434,10 @@ let publish t ?run_cycles ?(input = "") (p : Ir.Tree.program) =
           try (Native.Sim.run ~input np).Native.Sim.cycles
           with _ -> String.length native_img * estimated_cycles_per_byte)
       in
-      (* compress the whole registry menu once, timed, to fill the size
-         card the adaptive selector needs; the bytes warm the cache. All
+      (* compress the whole registry menu once, timed, to record the
+         stored sizes the engine scores; the bytes warm the cache. All
          source views are prefilled values, so the parallel batch shares
          them race-free. *)
-      let m0 =
-        {
-          ir = p;
-          sizes =
-            { Scenario.Delivery.native_bytes = 0; gzip_bytes = 0;
-              wire_bytes = 0; brisc_bytes = 0 };
-          sizes_by = [];
-          run_cycles;
-          fn_names = List.map (fun f -> f.Ir.Tree.fname) p.Ir.Tree.funcs;
-        }
-      in
       let src = Codec.Source.of_ir ?pool:t.pool ~vm:vp ~native:native_img p in
       let produced =
         run_batch t digest
@@ -461,22 +445,15 @@ let publish t ?run_cycles ?(input = "") (p : Ir.Tree.program) =
              (fun r -> (r, fun () -> Codec.encode (Artifact.codec r) src))
              (Artifact.all ()))
       in
-      let sizes_by =
-        List.map (fun (r, bytes) -> (Artifact.name r, String.length bytes))
-          produced
-      in
-      let size r = String.length (List.assoc r produced) in
       let m =
         {
-          m0 with
-          sizes =
-            {
-              Scenario.Delivery.native_bytes = size Artifact.native;
-              gzip_bytes = size Artifact.gzip_native;
-              wire_bytes = size Artifact.wire;
-              brisc_bytes = size Artifact.brisc;
-            };
-          sizes_by;
+          ir = p;
+          sizes_by =
+            List.map
+              (fun (r, bytes) -> (Artifact.name r, String.length bytes))
+              produced;
+          run_cycles;
+          fn_names = List.map (fun f -> f.Ir.Tree.fname) p.Ir.Tree.funcs;
         }
       in
       with_meta_mu t (fun () ->

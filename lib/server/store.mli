@@ -8,19 +8,16 @@
 
 type meta = {
   ir : Ir.Tree.program;
-  sizes : Scenario.Delivery.sizes;  (** legacy size card for the selector *)
   sizes_by : (string * int) list;
-      (** stored bytes per registered artifact, by codec name — the
-          registry-driven engine's per-candidate transfer sizes *)
+      (** stored bytes per registered artifact, by codec name, in
+          registry order (native first) — the engine's per-candidate
+          transfer sizes *)
   run_cycles : int;                 (** measured or estimated native cycles *)
   fn_names : string list;
 }
 
 val size_of : meta -> Artifact.repr -> int
 (** Stored bytes of one artifact (0 when unknown). *)
-
-val chunked_bytes : meta -> int
-(** Stored bytes of the function-at-a-time image. *)
 
 type t
 
@@ -54,10 +51,10 @@ val digest_of_program : Ir.Tree.program -> string
 val publish : t -> ?run_cycles:int -> ?input:string -> Ir.Tree.program -> string
 (** Register a program and return its digest. Idempotent: republishing
     the same program is a no-op returning the same digest. Compresses
-    every representation once (timed into the stats layer) to build the
-    size card and warm the cache. [run_cycles] overrides the execution
-    cost; otherwise the program is run once on the native simulator
-    with [input] (default empty) to measure it. *)
+    every representation once (timed into the stats layer) to record
+    each artifact's size and warm the cache. [run_cycles] overrides the
+    execution cost; otherwise the program is run once on the native
+    simulator with [input] (default empty) to measure it. *)
 
 val find_meta : t -> string -> meta option
 val meta : t -> string -> meta
@@ -85,8 +82,6 @@ val contexted_size : t -> string -> Artifact.repr -> ctx:Codec.Context.t -> int
 val cache_stats : t -> Cache.stats
 (** Cache counters summed across the shards (equals the single cache's
     stats when [shards = 1]). *)
-
-val shard_count : t -> int
 
 val quarantine : ?ctx:Codec.Context.t -> t -> string -> Artifact.repr -> unit
 (** Drop the cached bytes of one artifact (no-op when absent). Called

@@ -1,12 +1,8 @@
-(* PRNG-driven synthetic workload: a population of clients spanning the
-   paper's delivery crossover hammering the server over the corpus.
-
-   Program popularity is Zipf-flavoured (a few hot programs take most
-   requests — what makes the artifact cache pay), the client profile is
-   drawn per request, and streaming clients fetch exactly the functions
-   a real run of the program touches (the paging trace), one chunk per
-   request, with a configurable fraction of responses dropped in flight
-   to exercise resume. *)
+(* The catalog the simulator, the daemon and the benches publish: one
+   entry per program with its digest, function count and the functions
+   a real run touches (the paging trace a streaming client follows),
+   plus the default client population spanning the paper's delivery
+   crossover. *)
 
 type entry = {
   name : string;
@@ -59,196 +55,5 @@ let build_catalog ?(generated = default_generated) engine =
       (fun prof -> catalog_entry engine (Corpus.Gen.generate prof))
       generated
 
-type config = { requests : int; seed : int64; drop_pct : int }
-
-let default_config = { requests = 120; seed = 42L; drop_pct = 10 }
-
 let default_profiles =
   [ Profile.modem; Profile.lan; Profile.embedded; Profile.datacenter ]
-
-type baseline = {
-  fixed : Scenario.Delivery.representation;
-  modelled_s : float;   (* summed client delivery time over all fetches *)
-  wire_bytes : int;     (* summed bytes that repr would have shipped *)
-}
-
-type summary = {
-  requests : int;
-  fetches : int;
-  chunk_requests : int;
-  sessions_completed : int;
-  selections : ((string * string) * int) list;
-      (* (profile, representation) -> count, fetch path only *)
-  distinct_reprs : string list;
-  adaptive_s : float;         (* summed modelled time of the chosen reprs *)
-  adaptive_fetch_bytes : int; (* summed bytes actually shipped by fetches *)
-  baselines : baseline list;  (* one-size-fits-all counterfactuals *)
-  report : Stats.report;
-}
-
-type session_state = {
-  sess : Session.t;
-  mutable pending : string list;
-  mutable history : (int * string) list;  (* answered (seq, name), newest first *)
-}
-
-(* What one workload step did, as seen from the outside: enough for a
-   trace recorder to reconstruct the request without reaching into the
-   engine. Streams cover handshakes and ordinary chunk requests;
-   resumes are the retransmit paths (dropped response, late duplicate). *)
-type observation =
-  | Obs_fetch of Profile.t * entry
-  | Obs_stream of Profile.t * entry
-  | Obs_resume of Profile.t * entry
-
-let run engine ?(profiles = default_profiles) ?(config = default_config)
-    ?(observe = fun (_ : observation) -> ()) catalog =
-  if catalog = [] then invalid_arg "Workload.run: empty catalog";
-  let rng = Support.Prng.create config.seed in
-  (* Zipf-flavoured popularity: weight ~ 1/(rank+1) *)
-  let pop = List.mapi (fun i e -> (max 1 (1000 / (i + 1)), e)) catalog in
-  let profile_arr = Array.of_list profiles in
-  let sessions : (string, session_state) Hashtbl.t = Hashtbl.create 8 in
-  let tally : (string * string, int) Hashtbl.t = Hashtbl.create 16 in
-  let fetches = ref 0 in
-  let chunk_requests = ref 0 in
-  let completed = ref 0 in
-  let adaptive_s = ref 0.0 in
-  let adaptive_bytes = ref 0 in
-  let baseline_reprs =
-    [ Scenario.Delivery.Wire_format; Scenario.Delivery.Brisc_jit;
-      Scenario.Delivery.Gzipped_native ]
-  in
-  let baseline_s = Array.make (List.length baseline_reprs) 0.0 in
-  let baseline_bytes = Array.make (List.length baseline_reprs) 0 in
-  for _ = 1 to config.requests do
-    let profile = Support.Prng.pick rng profile_arr in
-    let e = Support.Prng.weighted rng pop in
-    if profile.Profile.prefers_streaming && e.fn_count > 1 then begin
-      let key = profile.Profile.name ^ ":" ^ e.digest in
-      match Hashtbl.find_opt sessions key with
-      | None ->
-        (* this request is the handshake; chunks flow on later requests *)
-        observe (Obs_stream (profile, e));
-        let sess = Engine.open_session engine e.digest in
-        Hashtbl.add sessions key { sess; pending = e.wanted; history = [] }
-      | Some st -> (
-        match st.pending with
-        | [] ->
-          Hashtbl.remove sessions key;
-          incr completed
-        | name :: rest ->
-          let seq = Session.next_seq st.sess in
-          let serve () =
-            incr chunk_requests;
-            match Engine.session_request engine st.sess ~seq name with
-            | Ok payload -> payload
-            | Error msg -> failwith ("Workload: session error: " ^ msg)
-          in
-          observe (Obs_stream (profile, e));
-          let _payload = serve () in
-          st.history <- (seq, name) :: st.history;
-          (* response dropped in flight: the client repeats the same
-             sequence number and the server retransmits *)
-          if Support.Prng.int rng 100 < config.drop_pct then begin
-            observe (Obs_resume (profile, e));
-            ignore (serve ())
-          end;
-          (* late duplicate: a stale retry of an older, already-answered
-             request arrives after newer chunks — the server must
-             retransmit it without disturbing the session offset *)
-          (match st.history with
-          | _ :: (old_seq, old_name) :: _
-            when Support.Prng.int rng 100 < config.drop_pct ->
-            observe (Obs_resume (profile, e));
-            incr chunk_requests;
-            (match
-               Engine.session_request engine st.sess ~seq:old_seq old_name
-             with
-            | Ok _ -> ()
-            | Error msg ->
-              failwith ("Workload: late-duplicate rejected: " ^ msg))
-          | _ -> ());
-          st.pending <- rest;
-          if rest = [] then begin
-            Hashtbl.remove sessions key;
-            incr completed
-          end)
-    end
-    else begin
-      incr fetches;
-      observe (Obs_fetch (profile, e));
-      let resp = Engine.fetch engine e.digest profile in
-      let key = (profile.Profile.name, resp.Engine.label) in
-      Hashtbl.replace tally key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt tally key));
-      adaptive_s :=
-        !adaptive_s +. resp.Engine.outcome.Scenario.Delivery.total_s;
-      adaptive_bytes := !adaptive_bytes + resp.Engine.size;
-      (* what a one-size-fits-all server would have cost this client;
-         it still can't ship a representation the client can't run, so
-         infeasible policies fall back to the client's adaptive choice *)
-      let sizes = Engine.sizes_of engine e.digest in
-      let feasible = Profile.feasible profile sizes in
-      let repr_bytes = function
-        | Scenario.Delivery.Raw_native -> sizes.Scenario.Delivery.native_bytes
-        | Scenario.Delivery.Gzipped_native ->
-          sizes.Scenario.Delivery.gzip_bytes
-        | Scenario.Delivery.Wire_format -> sizes.Scenario.Delivery.wire_bytes
-        | Scenario.Delivery.Brisc_jit | Scenario.Delivery.Brisc_interp ->
-          sizes.Scenario.Delivery.brisc_bytes
-      in
-      List.iteri
-        (fun i fixed ->
-          let eff = if List.mem fixed feasible then fixed else resp.Engine.chosen in
-          let o = Engine.outcome_for engine e.digest profile eff in
-          baseline_s.(i) <- baseline_s.(i) +. o.Scenario.Delivery.total_s;
-          baseline_bytes.(i) <- baseline_bytes.(i) + repr_bytes eff)
-        baseline_reprs
-    end
-  done;
-  let selections =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tally [])
-  in
-  let distinct_reprs =
-    dedup_keep_order (List.map (fun ((_, r), _) -> r) selections)
-  in
-  {
-    requests = config.requests;
-    fetches = !fetches;
-    chunk_requests = !chunk_requests;
-    sessions_completed = !completed;
-    selections;
-    distinct_reprs;
-    adaptive_s = !adaptive_s;
-    adaptive_fetch_bytes = !adaptive_bytes;
-    baselines =
-      List.mapi
-        (fun i fixed ->
-          { fixed; modelled_s = baseline_s.(i); wire_bytes = baseline_bytes.(i) })
-        baseline_reprs;
-    report = Engine.report engine;
-  }
-
-let print_summary (s : summary) =
-  Printf.printf
-    "workload: %d requests (%d fetches, %d chunk requests, %d sessions completed)\n"
-    s.requests s.fetches s.chunk_requests s.sessions_completed;
-  Printf.printf "selections by (profile, representation):\n";
-  List.iter
-    (fun ((p, r), n) -> Printf.printf "  %-12s %-14s %5d\n" p r n)
-    s.selections;
-  Printf.printf "distinct representations selected: %s\n"
-    (String.concat ", " s.distinct_reprs);
-  Printf.printf
-    "adaptive vs one-size-fits-all (modelled client seconds / fetch bytes):\n";
-  Printf.printf "  %-16s %10.1fs %12s\n" "adaptive" s.adaptive_s
-    (Support.Util.human_bytes s.adaptive_fetch_bytes);
-  List.iter
-    (fun b ->
-      Printf.printf "  %-16s %10.1fs %12s\n"
-        ("all " ^ Scenario.Delivery.repr_name b.fixed)
-        b.modelled_s
-        (Support.Util.human_bytes b.wire_bytes))
-    s.baselines;
-  Stats.print s.report

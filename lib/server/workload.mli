@@ -1,7 +1,6 @@
-(** PRNG-driven synthetic workload over the corpus: Zipf-flavoured
-    program popularity, per-request client profiles, streaming clients
-    that fetch exactly the functions a real run touches (with dropped
-    responses to exercise resume). Deterministic for a given seed. *)
+(** The published catalog: one entry per program, the default client
+    population, and the corpus the drivers publish. [Sim.Catalog]
+    names the flavors traces are cut against. *)
 
 type entry = {
   name : string;
@@ -22,52 +21,5 @@ val build_catalog : ?generated:Corpus.Gen.profile list -> Engine.t -> entry list
 
 val default_generated : Corpus.Gen.profile list
 
-type config = { requests : int; seed : int64; drop_pct : int }
-
-val default_config : config
-(** 120 requests, seed 42, 10% of chunk responses dropped. *)
-
 val default_profiles : Profile.t list
 (** modem, lan, embedded (streaming), datacenter. *)
-
-type baseline = {
-  fixed : Scenario.Delivery.representation;
-  modelled_s : float;  (** summed client delivery time over all fetches *)
-  wire_bytes : int;    (** summed bytes that repr would have shipped *)
-}
-
-type summary = {
-  requests : int;
-  fetches : int;
-  chunk_requests : int;
-  sessions_completed : int;
-  selections : ((string * string) * int) list;
-      (** (profile, representation) -> count over the fetch path *)
-  distinct_reprs : string list;
-  adaptive_s : float;          (** modelled time of the adaptive choices *)
-  adaptive_fetch_bytes : int;  (** bytes actually shipped by fetches *)
-  baselines : baseline list;
-      (** one-size-fits-all counterfactuals over the same request
-          stream: all wire, all BRISC+JIT, all gzip+native. When the
-          fixed representation is infeasible for a client (no JIT,
-          wrong ISA) the policy falls back to that client's adaptive
-          choice, as a real server would have to. *)
-  report : Stats.report;
-}
-
-type observation =
-  | Obs_fetch of Profile.t * entry
-  | Obs_stream of Profile.t * entry
-  | Obs_resume of Profile.t * entry
-      (** What one workload step did, as seen from the outside — enough
-          for a trace recorder to reconstruct the request. Streams cover
-          handshakes and ordinary chunk requests; resumes are the
-          retransmit paths (dropped response, late duplicate). *)
-
-val run :
-  Engine.t -> ?profiles:Profile.t list -> ?config:config ->
-  ?observe:(observation -> unit) -> entry list -> summary
-(** [observe] (default: ignore) sees every request as it is issued, in
-    issue order. *)
-
-val print_summary : summary -> unit

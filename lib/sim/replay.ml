@@ -5,8 +5,8 @@
    (label, size, cache hit, degradation) but never wall-clock, and
    latency is modelled (delivery model for fetches, link transfer time
    for session legs), so a replay is byte-identical across runs and
-   across pool sizes. The daemon path reuses the same per-event logic
-   with RPCs in place of direct engine calls. *)
+   across pool sizes. One loop drives every event; its backend is either
+   the engine itself or RPCs to a loopback daemon serving that engine. *)
 
 type opstats = { ops : int; bytes : int; lat : Support.Quantile.bucket }
 
@@ -112,10 +112,12 @@ let logf acc fmt =
       Buffer.add_char acc.log '\n')
     fmt
 
-let served acc op ?(latency = 0.) payload =
-  acc.serve_crc <- chain acc.serve_crc payload;
+(* one response: [shown] feeds the serve CRC, [bytes] is what it put on
+   the wire *)
+let served acc op ~latency ~bytes shown =
+  acc.serve_crc <- chain acc.serve_crc shown;
   acc.lat <- (op, latency) :: acc.lat;
-  acc.bytes_by_op <- (op, String.length payload) :: acc.bytes_by_op
+  acc.bytes_by_op <- (op, bytes) :: acc.bytes_by_op
 
 let opstats_of acc op =
   let lats =
@@ -210,9 +212,9 @@ let update_serve_ok store ~codec ~context ~digest body =
 
 (* One directive corrupts ONE cached non-native artifact of the key —
    the repr picked and the mutation both drawn from the directive's own
-   seed, so the damage is reproducible. Same fault model as
-   [mccd --faults]: verify-before-serve catches it, the fetch degrades,
-   and the store heals the quarantined artifact on its next request. *)
+   seed, so the damage is reproducible. Verify-before-serve catches it,
+   the fetch degrades, and the store heals the quarantined artifact on
+   its next request. *)
 let apply_fault store digest (f : Trace.fault) =
   let rng = Support.Prng.create f.Trace.fseed in
   let reprs =
@@ -226,107 +228,188 @@ let apply_fault store digest (f : Trace.fault) =
   then 1
   else 0
 
-(* ---- in-process replay ---- *)
+(* ---- backends ---- *)
 
-type stream_state = {
-  mutable pending : string list;
-  mutable last : (int * string) option;  (* last served (seq, name) *)
-  sess : Server.Session.t;
+(* One whole-image serve as the replay loop sees it; absent response
+   fields are [""], as on the wire. [ms] is the serve's latency. *)
+type fetched = {
+  label : string;
+  codec : string;
+  cache_hit : bool;
+  degraded_from : string;
+  context : string;
+  body : string;
+  ms : float;
 }
 
-let run ?(config = default_config) (trace : Trace.t) =
-  let engine =
-    Server.create ?pool:config.pool ~budget_bytes:config.budget_bytes ()
+(* An open chunked session: its index, the window's first sequence
+   number, the handshake's latency, and the session's own chunk
+   request, answering (payload, latency ms). *)
+type stream = {
+  rows : (string * int) list;
+  first_seq : int;
+  open_ms : float;
+  chunk : seq:int -> string -> string * float;
+}
+
+(* The two requests a replay makes: direct engine calls with modelled
+   latencies, or RPCs to a loopback daemon with measured ones. *)
+type backend = {
+  fetch : Server.Profile.t -> held:string list -> string -> fetched;
+  open_stream : Server.Profile.t -> string -> stream;
+}
+
+let in_process engine =
+  let fetch profile ~held digest =
+    let r = Server.fetch ~held engine digest profile in
+    {
+      label = r.Server.label;
+      codec = Server.Artifact.name r.Server.artifact;
+      cache_hit = r.Server.cache_hit;
+      degraded_from = Option.value ~default:"" r.Server.degraded_from;
+      context = Option.value ~default:"" r.Server.context;
+      body = r.Server.bytes;
+      ms = r.Server.outcome.Scenario.Delivery.total_s *. 1000.;
+    }
   in
-  let _entries, by_name = catalog_for trace engine in
+  let open_stream profile digest =
+    let sess = Server.open_session engine digest in
+    let rows = Server.Session.index sess in
+    let chunk ~seq name =
+      match Server.session_request engine sess ~seq name with
+      | Ok payload -> (payload, transfer_ms profile (String.length payload))
+      | Error msg -> failwith ("Sim.Replay: session error: " ^ msg)
+    in
+    {
+      rows;
+      first_seq = Server.Session.next_seq sess;
+      open_ms = transfer_ms profile (handshake_of_rows rows);
+      chunk;
+    }
+  in
+  { fetch; open_stream }
+
+let refused what = function
+  | Net.Protocol.Err (c, m) ->
+    failwith
+      (Printf.sprintf "Sim.Replay: %s refused: %s: %s" what
+         (Net.Protocol.err_code_name c) m)
+  | _ -> failwith ("Sim.Replay: unexpected response to " ^ what)
+
+(* one connection, one op in flight: latency is the RPC's wall time *)
+let over_daemon client =
+  let timed req =
+    let t0 = Unix.gettimeofday () in
+    match Net.Client.rpc client req with
+    | Ok resp -> (resp, (Unix.gettimeofday () -. t0) *. 1000.)
+    | Error e ->
+      failwith ("Sim.Replay: rpc failed: " ^ Support.Decode_error.to_string e)
+  in
+  let fetch (profile : Server.Profile.t) ~held digest =
+    match
+      timed
+        (Net.Protocol.Fetch
+           { profile = profile.Server.Profile.name; digest; held })
+    with
+    | ( Net.Protocol.Artifact
+          { label; codec; cache_hit; degraded_from; context; body },
+        ms ) ->
+      { label; codec; cache_hit; degraded_from; context; body; ms }
+    | resp, _ -> refused "fetch" resp
+  in
+  let open_stream _profile digest =
+    match
+      timed (Net.Protocol.Open { codec = ""; digest; resume = ""; held = [] })
+    with
+    | Net.Protocol.Index { token; next_seq; rows; _ }, open_ms ->
+      let chunk ~seq name =
+        match timed (Net.Protocol.Chunk { token; seq; name }) with
+        | Net.Protocol.Chunk_data payload, ms -> (payload, ms)
+        | resp, _ -> refused "chunk" resp
+      in
+      { rows; first_seq = next_seq; open_ms; chunk }
+    | resp, _ -> refused "open" resp
+  in
+  { fetch; open_stream }
+
+(* ---- the request loop ---- *)
+
+type stream_state = {
+  s : stream;
+  mutable pending : string list;
+  mutable next_seq : int;
+  mutable last : (int * string) option;  (* last served (seq, name) *)
+}
+
+(* Drive every event through [backend], in order. Fault directives hit
+   [engine]'s store between requests — the daemon backend serves from
+   that same engine, one op at a time, so injections land exactly where
+   they do in process. Returns the accumulator and the stats snapshot
+   taken before the first event. *)
+let replay ~config (trace : Trace.t) engine by_name backend =
   let store = Server.store engine in
   let acc = new_acc () in
   let streams : (string, stream_state) Hashtbl.t = Hashtbl.create 16 in
   let holds : (string, string) Hashtbl.t = Hashtbl.create 16 in
   let before = Server.report engine in
-  let open_stream ev (e : Server.Workload.entry) profile =
-    let sess = Server.open_session engine e.Server.Workload.digest in
-    let rows = Server.Session.index sess in
-    let hs = handshake_of_rows rows in
-    let rendered = render_rows rows in
+  let open_stream ev skey (e : Server.Workload.entry) profile =
+    let s = backend.open_stream profile e.Server.Workload.digest in
+    let hs = handshake_of_rows s.rows in
     logf acc "open %s %s %s rows=%d %dB" ev.Trace.client ev.Trace.profile
-      ev.Trace.key (List.length rows) hs;
-    acc.serve_crc <- chain acc.serve_crc rendered;
-    acc.lat <- (Trace.Stream, transfer_ms profile hs) :: acc.lat;
-    acc.bytes_by_op <- (Trace.Stream, hs) :: acc.bytes_by_op;
-    Hashtbl.replace streams
-      (ev.Trace.client ^ ":" ^ ev.Trace.key)
-      { pending = e.Server.Workload.wanted; last = None; sess }
+      ev.Trace.key (List.length s.rows) hs;
+    served acc Trace.Stream ~latency:s.open_ms ~bytes:hs (render_rows s.rows);
+    Hashtbl.replace streams skey
+      { s; pending = e.Server.Workload.wanted; next_seq = s.first_seq;
+        last = None }
   in
-  let request st name =
-    let seq = Server.Session.next_seq st.sess in
-    match Server.session_request engine st.sess ~seq name with
-    | Ok payload -> (seq, payload)
-    | Error msg -> failwith ("Sim.Replay: session error: " ^ msg)
+  let chunk verb op ev st ~seq name =
+    let payload, ms = st.s.chunk ~seq name in
+    logf acc "%s %s %s %s seq=%d %s %dB" verb ev.Trace.client
+      ev.Trace.profile ev.Trace.key seq name (String.length payload);
+    served acc op ~latency:ms ~bytes:(String.length payload) payload
   in
   let rec step ev =
     let e = entry_of by_name ev.Trace.key in
+    let digest = e.Server.Workload.digest in
     let profile = find_profile ev.Trace.profile in
     let skey = ev.Trace.client ^ ":" ^ ev.Trace.key in
     match ev.Trace.op with
-    | Trace.Fetch ->
-      let resp = Server.fetch engine e.Server.Workload.digest profile in
-      logf acc "fetch %s %s %s -> %s %dB hit=%d degraded=%s" ev.Trace.client
-        ev.Trace.profile ev.Trace.key resp.Server.label resp.Server.size
-        (if resp.Server.cache_hit then 1 else 0)
-        (Option.value ~default:"-" resp.Server.degraded_from);
-      Hashtbl.replace holds skey e.Server.Workload.digest;
-      served acc Trace.Fetch
-        ~latency:(resp.Server.outcome.Scenario.Delivery.total_s *. 1000.)
-        resp.Server.bytes
-    | Trace.Update ->
-      let held = held_for ~config holds ev in
-      let resp = Server.fetch ~held engine e.Server.Workload.digest profile in
-      let context = Option.value ~default:"" resp.Server.context in
-      if
-        not
-          (update_serve_ok store
-             ~codec:(Server.Artifact.name resp.Server.artifact)
-             ~context ~digest:e.Server.Workload.digest resp.Server.bytes)
-      then acc.upd_corrupt <- acc.upd_corrupt + 1;
-      logf acc "update %s %s %s -> %s %dB hit=%d ctx=%s" ev.Trace.client
-        ev.Trace.profile ev.Trace.key resp.Server.label resp.Server.size
-        (if resp.Server.cache_hit then 1 else 0)
-        (if context = "" then "-" else context);
-      Hashtbl.replace holds skey e.Server.Workload.digest;
-      served acc Trace.Update
-        ~latency:(resp.Server.outcome.Scenario.Delivery.total_s *. 1000.)
-        resp.Server.bytes
+    | (Trace.Fetch | Trace.Update) as op ->
+      let held = if op = Trace.Update then held_for ~config holds ev else [] in
+      let f = backend.fetch profile ~held digest in
+      let shown s = if s = "" then "-" else s in
+      if op = Trace.Fetch then
+        logf acc "fetch %s %s %s -> %s %dB hit=%d degraded=%s" ev.Trace.client
+          ev.Trace.profile ev.Trace.key f.label (String.length f.body)
+          (Bool.to_int f.cache_hit) (shown f.degraded_from)
+      else begin
+        if
+          not
+            (update_serve_ok store ~codec:f.codec ~context:f.context ~digest
+               f.body)
+        then acc.upd_corrupt <- acc.upd_corrupt + 1;
+        logf acc "update %s %s %s -> %s %dB hit=%d ctx=%s" ev.Trace.client
+          ev.Trace.profile ev.Trace.key f.label (String.length f.body)
+          (Bool.to_int f.cache_hit) (shown f.context)
+      end;
+      Hashtbl.replace holds skey digest;
+      served acc op ~latency:f.ms ~bytes:(String.length f.body) f.body
     | Trace.Stream -> (
       match Hashtbl.find_opt streams skey with
-      | None -> open_stream ev e profile
-      | Some st -> (
-        match st.pending with
-        | [] ->
-          (* session exhausted: the client starts over *)
-          Hashtbl.remove streams skey;
-          open_stream ev e profile
-        | name :: rest ->
-          let seq, payload = request st name in
-          logf acc "chunk %s %s %s seq=%d %s %dB" ev.Trace.client
-            ev.Trace.profile ev.Trace.key seq name (String.length payload);
-          served acc Trace.Stream
-            ~latency:(transfer_ms profile (String.length payload))
-            payload;
-          st.last <- Some (seq, name);
-          st.pending <- rest))
+      | Some ({ pending = name :: rest; _ } as st) ->
+        let seq = st.next_seq in
+        chunk "chunk" Trace.Stream ev st ~seq name;
+        st.next_seq <- seq + 1;
+        st.last <- Some (seq, name);
+        st.pending <- rest
+      | _ ->
+        (* first touch, or the session is exhausted: (re)open *)
+        open_stream ev skey e profile)
     | Trace.Resume -> (
       match Hashtbl.find_opt streams skey with
-      | Some ({ last = Some (seq, name); _ } as st) -> (
+      | Some ({ last = Some (seq, name); _ } as st) ->
         (* dropped response: repeat the same seq, byte-for-byte *)
-        match Server.session_request engine st.sess ~seq name with
-        | Ok payload ->
-          logf acc "resume %s %s %s seq=%d %s %dB" ev.Trace.client
-            ev.Trace.profile ev.Trace.key seq name (String.length payload);
-          served acc Trace.Resume
-            ~latency:(transfer_ms profile (String.length payload))
-            payload
-        | Error msg -> failwith ("Sim.Replay: retransmit refused: " ^ msg))
+        chunk "resume" Trace.Resume ev st ~seq name
       | _ ->
         (* nothing to resume yet: behaves as the stream leg it retries *)
         step { ev with Trace.op = Trace.Stream })
@@ -343,30 +426,22 @@ let run ?(config = default_config) (trace : Trace.t) =
           ev.Trace.key hit);
       step ev)
     trace.Trace.events;
-  let after = Server.report engine in
-  finish ~config ~trace ~before ~after acc
+  (acc, before)
 
-(* ---- replay through the daemon ---- *)
-
-type daemon_stream = {
-  mutable d_pending : string list;
-  mutable d_last : (int * string) option;
-  d_token : string;
-  mutable d_next_seq : int;
-}
-
-let rpc client req =
-  match Net.Client.rpc client req with
-  | Ok resp -> resp
-  | Error e ->
-    failwith ("Sim.Replay: rpc failed: " ^ Support.Decode_error.to_string e)
-
-let via_daemon ?(config = default_config) (trace : Trace.t) =
+let engine_for (config : config) trace =
   let engine =
     Server.create ?pool:config.pool ~budget_bytes:config.budget_bytes ()
   in
   let entries, by_name = catalog_for trace engine in
-  let store = Server.store engine in
+  (engine, entries, by_name)
+
+let run ?(config = default_config) (trace : Trace.t) =
+  let engine, _entries, by_name = engine_for config trace in
+  let acc, before = replay ~config trace engine by_name (in_process engine) in
+  finish ~config ~trace ~before ~after:(Server.report engine) acc
+
+let via_daemon ?(config = default_config) (trace : Trace.t) =
+  let engine, entries, by_name = engine_for config trace in
   let rows =
     List.map
       (fun (e : Server.Workload.entry) ->
@@ -382,168 +457,18 @@ let via_daemon ?(config = default_config) (trace : Trace.t) =
       { Net.Daemon.default_config with domains = 1 }
   in
   let dom = Domain.spawn (fun () -> Net.Daemon.run daemon) in
-  let acc = new_acc () in
-  let streams : (string, daemon_stream) Hashtbl.t = Hashtbl.create 16 in
-  let holds : (string, string) Hashtbl.t = Hashtbl.create 16 in
-  let before = Server.report engine in
-  Fun.protect
-    ~finally:(fun () ->
-      Net.Daemon.request_stop daemon;
-      Domain.join dom)
-    (fun () ->
-      let client = Net.Client.connect ~port:(Net.Daemon.port daemon) in
-      Fun.protect
-        ~finally:(fun () -> Net.Client.close client)
-        (fun () ->
-          let timed req =
-            let t0 = Unix.gettimeofday () in
-            let resp = rpc client req in
-            (resp, (Unix.gettimeofday () -. t0) *. 1000.)
-          in
-          let open_stream ev (e : Server.Workload.entry) =
-            match
-              timed
-                (Net.Protocol.Open
-                   { codec = ""; digest = e.Server.Workload.digest; resume = ""; held = [] })
-            with
-            | Net.Protocol.Index { token; next_seq; rows; _ }, ms ->
-              let hs = handshake_of_rows rows in
-              logf acc "open %s %s %s rows=%d %dB" ev.Trace.client
-                ev.Trace.profile ev.Trace.key (List.length rows) hs;
-              acc.serve_crc <- chain acc.serve_crc (render_rows rows);
-              acc.lat <- (Trace.Stream, ms) :: acc.lat;
-              acc.bytes_by_op <- (Trace.Stream, hs) :: acc.bytes_by_op;
-              Hashtbl.replace streams
-                (ev.Trace.client ^ ":" ^ ev.Trace.key)
-                {
-                  d_pending = e.Server.Workload.wanted;
-                  d_last = None;
-                  d_token = token;
-                  d_next_seq = next_seq;
-                }
-            | resp, _ ->
-              failwith
-                ("Sim.Replay: unexpected response to Open: "
-                ^ match resp with
-                  | Net.Protocol.Err (c, m) ->
-                    Net.Protocol.err_code_name c ^ ": " ^ m
-                  | _ -> "wrong frame kind")
-          in
-          let chunk_req st name seq =
-            match
-              timed
-                (Net.Protocol.Chunk { token = st.d_token; seq; name })
-            with
-            | Net.Protocol.Chunk_data payload, ms -> (payload, ms)
-            | Net.Protocol.Err (c, m), _ ->
-              failwith
-                ("Sim.Replay: chunk refused: " ^ Net.Protocol.err_code_name c
-               ^ ": " ^ m)
-            | _ -> failwith "Sim.Replay: unexpected response to Chunk"
-          in
-          let rec step ev =
-            let e = entry_of by_name ev.Trace.key in
-            let skey = ev.Trace.client ^ ":" ^ ev.Trace.key in
-            match ev.Trace.op with
-            | Trace.Fetch -> (
-              match
-                timed
-                  (Net.Protocol.Fetch
-                     {
-                       profile = ev.Trace.profile;
-                       digest = e.Server.Workload.digest;
-                       held = [];
-                     })
-              with
-              | Net.Protocol.Artifact { label; cache_hit; degraded_from; body; _ }, ms ->
-                logf acc "fetch %s %s %s -> %s %dB hit=%d degraded=%s"
-                  ev.Trace.client ev.Trace.profile ev.Trace.key label
-                  (String.length body)
-                  (if cache_hit then 1 else 0)
-                  (if degraded_from = "" then "-" else degraded_from);
-                Hashtbl.replace holds skey e.Server.Workload.digest;
-                served acc Trace.Fetch ~latency:ms body
-              | Net.Protocol.Err (c, m), _ ->
-                failwith
-                  ("Sim.Replay: fetch refused: " ^ Net.Protocol.err_code_name c
-                 ^ ": " ^ m)
-              | _ -> failwith "Sim.Replay: unexpected response to Fetch")
-            | Trace.Update -> (
-              match
-                timed
-                  (Net.Protocol.Fetch
-                     {
-                       profile = ev.Trace.profile;
-                       digest = e.Server.Workload.digest;
-                       held = held_for ~config holds ev;
-                     })
-              with
-              | ( Net.Protocol.Artifact
-                    { label; codec; cache_hit; context; body; _ },
-                  ms ) ->
-                if
-                  not
-                    (update_serve_ok store ~codec ~context
-                       ~digest:e.Server.Workload.digest body)
-                then acc.upd_corrupt <- acc.upd_corrupt + 1;
-                logf acc "update %s %s %s -> %s %dB hit=%d ctx=%s"
-                  ev.Trace.client ev.Trace.profile ev.Trace.key label
-                  (String.length body)
-                  (if cache_hit then 1 else 0)
-                  (if context = "" then "-" else context);
-                Hashtbl.replace holds skey e.Server.Workload.digest;
-                served acc Trace.Update ~latency:ms body
-              | Net.Protocol.Err (c, m), _ ->
-                failwith
-                  ("Sim.Replay: update refused: "
-                 ^ Net.Protocol.err_code_name c ^ ": " ^ m)
-              | _ -> failwith "Sim.Replay: unexpected response to Fetch")
-            | Trace.Stream -> (
-              match Hashtbl.find_opt streams skey with
-              | None -> open_stream ev e
-              | Some st -> (
-                match st.d_pending with
-                | [] ->
-                  Hashtbl.remove streams skey;
-                  open_stream ev e
-                | name :: rest ->
-                  let seq = st.d_next_seq in
-                  let payload, ms = chunk_req st name seq in
-                  logf acc "chunk %s %s %s seq=%d %s %dB" ev.Trace.client
-                    ev.Trace.profile ev.Trace.key seq name
-                    (String.length payload);
-                  served acc Trace.Stream ~latency:ms payload;
-                  st.d_next_seq <- seq + 1;
-                  st.d_last <- Some (seq, name);
-                  st.d_pending <- rest))
-            | Trace.Resume -> (
-              match Hashtbl.find_opt streams skey with
-              | Some ({ d_last = Some (seq, name); _ } as st) ->
-                let payload, ms = chunk_req st name seq in
-                logf acc "resume %s %s %s seq=%d %s %dB" ev.Trace.client
-                  ev.Trace.profile ev.Trace.key seq name
-                  (String.length payload);
-                served acc Trace.Resume ~latency:ms payload
-              | _ -> step { ev with Trace.op = Trace.Stream })
-          in
-          List.iter
-            (fun ev ->
-              (match ev.Trace.fault with
-              | None -> ()
-              | Some f ->
-                (* the daemon shares this engine, so the fault lands in
-                   the same store the workers serve from; ops are
-                   strictly sequential (one connection, one in flight),
-                   so the injection is ordered exactly as in [run] *)
-                let e = entry_of by_name ev.Trace.key in
-                let hit = apply_fault store e.Server.Workload.digest f in
-                logf acc "fault %s %s hit=%d"
-                  (Support.Fault.kind_name f.Trace.fkind)
-                  ev.Trace.key hit);
-              step ev)
-            trace.Trace.events));
-  let after = Server.report engine in
-  finish ~config ~trace ~before ~after acc
+  let acc, before =
+    Fun.protect
+      ~finally:(fun () ->
+        Net.Daemon.request_stop daemon;
+        Domain.join dom)
+      (fun () ->
+        let client = Net.Client.connect ~port:(Net.Daemon.port daemon) in
+        Fun.protect
+          ~finally:(fun () -> Net.Client.close client)
+          (fun () -> replay ~config trace engine by_name (over_daemon client)))
+  in
+  finish ~config ~trace ~before ~after:(Server.report engine) acc
 
 (* ---- rendering ---- *)
 

@@ -2,9 +2,9 @@
 
     {!run} builds a {!Server.t} (budget and pool from the config),
     publishes the trace's catalog flavor, then drives every event in
-    order: fetches through [Server.fetch], streams through chunked
-    sessions (handshake on a client's first touch of a program, the
-    next paged function afterwards), resumes as byte-for-byte
+    order: fetches and updates through [Server.fetch], streams through
+    chunked sessions (handshake on a client's first touch of a program,
+    the next paged function afterwards), resumes as byte-for-byte
     retransmits of the last served chunk, and fault directives as
     seeded corruption of the key's cached artifacts.
 
@@ -17,9 +17,10 @@
     the client profile's link rate — so even the percentile lines are
     reproducible.
 
-    {!via_daemon} replays the same trace through a real [Net.Daemon]
-    over loopback TCP (one connection, one op in flight). Event log and
-    served bytes match {!run} exactly; only the latency buckets differ
+    {!via_daemon} runs the same request loop with RPCs to a real
+    [Net.Daemon] over loopback TCP in place of direct engine calls (one
+    connection, one op in flight). Event log, served bytes and engine
+    counters match {!run} exactly; only the latency buckets differ
     (measured wall time instead of the model). *)
 
 type opstats = {

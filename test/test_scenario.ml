@@ -46,7 +46,7 @@ let test_default_rates_crossover () =
   (* the §4.5 story pinned under the stock rate card, for the client
      population the server targets: a JIT-capable machine that cannot
      run the server's native code (so the native forms are off the
-     menu, exactly what Profile.feasible computes for modem/lan).
+     menu, as Profile.mode_feasible rules for modem/lan).
      Over the modem, transfer dominates and the densest form — wire —
      wins; at 100 Mbit transfer is nearly free and wire's extra
      decompress-then-JIT preparation loses to BRISC's JIT-only cost. *)

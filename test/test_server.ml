@@ -1,5 +1,5 @@
 (* Tests for the code-delivery server: the byte-budgeted LRU artifact
-   cache, the adaptive representation selector against the delivery
+   cache, per-profile representation selection against the delivery
    model, the content-addressed store, and chunked-session resume. *)
 
 let d = String.make 1
@@ -63,62 +63,7 @@ let test_cache_lru_order_is_by_recency () =
     [ true; false; false; true; true ]
     (List.map (Server.Cache.mem c) [ "a"; "b"; "c"; "d"; "e" ])
 
-(* ---- selector: profiles against the delivery model ---- *)
-
-let sizes =
-  { Scenario.Delivery.native_bytes = 70_000; gzip_bytes = 30_000;
-    wire_bytes = 20_000; brisc_bytes = 45_000 }
-
-let run_cycles = 50_000_000
-
-let pick p = Scenario.Delivery.repr_name (fst (Server.Profile.select p sizes ~run_cycles))
-
-let test_selector_matches_best_of () =
-  (* on each hand-picked rate point the selector must agree with
-     Delivery.best_of restricted to the profile's feasible set *)
-  List.iter
-    (fun (p : Server.Profile.t) ->
-      let feas = Server.Profile.feasible p sizes in
-      let want =
-        fst
-          (Scenario.Delivery.best_of feas sizes ~run_cycles
-             ~link_bps:p.Server.Profile.link_bps)
-      in
-      Alcotest.(check string) p.Server.Profile.name
-        (Scenario.Delivery.repr_name want)
-        (pick p))
-    [ Server.Profile.modem; Server.Profile.lan; Server.Profile.embedded;
-      Server.Profile.datacenter ]
-
-let test_selector_hand_picked_points () =
-  (* the concrete choices at the stock rate card, derivable by hand
-     from the linear model (transfer + prepare + run) *)
-  Alcotest.(check string) "modem: densest form wins" "wire+JIT"
-    (pick Server.Profile.modem);
-  Alcotest.(check string) "datacenter: raw native, nothing to prepare"
-    "native" (pick Server.Profile.datacenter);
-  Alcotest.(check string) "embedded: interpretation is all that's feasible"
-    "BRISC interp" (pick Server.Profile.embedded);
-  (* a JIT client on a free link: BRISC's JIT-only preparation beats
-     wire's decompress-then-JIT once transfer stops mattering *)
-  let fast =
-    Server.Profile.make "fast" ~link_bps:Scenario.Delivery.fast_lan_bps
-  in
-  Alcotest.(check string) "fast link, no native" "BRISC+JIT" (pick fast)
-
-let test_feasibility_constraints () =
-  let feas p = Server.Profile.feasible p sizes in
-  Alcotest.(check bool) "embedded: only interp" true
-    (feas Server.Profile.embedded = [ Scenario.Delivery.Brisc_interp ]);
-  Alcotest.(check bool) "modem client can't take native" true
-    (not (List.mem Scenario.Delivery.Raw_native (feas Server.Profile.modem)));
-  Alcotest.(check bool) "datacenter can take native" true
-    (List.mem Scenario.Delivery.Raw_native (feas Server.Profile.datacenter));
-  (* never empty, even under an absurd memory budget *)
-  let tiny = Server.Profile.make "tiny" ~link_bps:1e6 ~memory_bytes:1 in
-  Alcotest.(check bool) "never empty" true (feas tiny <> [])
-
-(* ---- store: content addressing, publish, eviction recovery ---- *)
+(* ---- selection: profiles against the delivery model ---- *)
 
 let prog src = Cc.Lower.compile src
 
@@ -127,6 +72,55 @@ let multi_fn_src =
    int b(int x) { return x * 2; }\n\
    int c(int x) { return x - 3; }\n\
    int main() { return a(1) + b(2) + c(3); }"
+
+(* the delivery mode a fetch picks for this profile *)
+let pick e dg p =
+  Scenario.Delivery.repr_name (Server.fetch e dg p).Server.chosen
+
+let test_selector_hand_picked_points () =
+  (* the concrete choices at the stock rate card, derivable by hand
+     from the linear model (transfer + prepare + run) *)
+  let e = Server.create () in
+  let dg = Server.publish e ~run_cycles:1_000_000 (prog multi_fn_src) in
+  Alcotest.(check string) "modem: densest form wins" "wire+JIT"
+    (pick e dg Server.Profile.modem);
+  Alcotest.(check string) "datacenter: raw native, nothing to prepare"
+    "native" (pick e dg Server.Profile.datacenter);
+  Alcotest.(check string) "embedded: interpretation is all that's feasible"
+    "BRISC interp" (pick e dg Server.Profile.embedded);
+  (* a JIT client on a free link: BRISC's JIT-only preparation beats
+     wire's decompress-then-JIT once transfer stops mattering *)
+  let fast =
+    Server.Profile.make "fast" ~link_bps:Scenario.Delivery.fast_lan_bps
+  in
+  Alcotest.(check string) "fast link, no native" "BRISC+JIT" (pick e dg fast)
+
+let test_feasibility_constraints () =
+  let ok p mode =
+    Server.Profile.mode_feasible p ~mode ~artifact_bytes:45_000
+      ~native_bytes:70_000
+  in
+  Alcotest.(check bool) "embedded: no JIT" false
+    (ok Server.Profile.embedded Scenario.Delivery.Wire_format);
+  Alcotest.(check bool) "embedded: native image over its budget" false
+    (ok Server.Profile.embedded Scenario.Delivery.Raw_native);
+  Alcotest.(check bool) "modem client can't take native" false
+    (ok Server.Profile.modem Scenario.Delivery.Raw_native);
+  Alcotest.(check bool) "datacenter can take native" true
+    (ok Server.Profile.datacenter Scenario.Delivery.Raw_native);
+  (* in-place interpretation holds only the artifact itself *)
+  let small = Server.Profile.make "small" ~link_bps:1e6 ~memory_bytes:50_000 in
+  Alcotest.(check bool) "interp fits where the JIT does not" true
+    (ok small Scenario.Delivery.Brisc_interp
+    && not (ok small Scenario.Delivery.Brisc_jit));
+  (* nothing fits an absurd memory budget, yet the fetch still serves:
+     interpretation is the last resort *)
+  let e = Server.create () in
+  let dg = Server.publish e ~run_cycles:1_000_000 (prog multi_fn_src) in
+  let tiny = Server.Profile.make "tiny" ~link_bps:1e6 ~memory_bytes:1 in
+  Alcotest.(check string) "last resort" "BRISC interp" (pick e dg tiny)
+
+(* ---- store: content addressing, publish, eviction recovery ---- *)
 
 let test_publish_idempotent () =
   let e = Server.create () in
@@ -356,29 +350,6 @@ let test_session_open_heals_corrupt_chunked () =
   let r = Server.report e in
   Alcotest.(check int) "failure recorded" 1 r.Server.Stats.decode_failures
 
-let test_fault_workload_survives () =
-  (* inject faults into hot cached artifacts mid-workload: every request
-     must still be answered (degraded or healed), with the damage
-     visible in the stats *)
-  let e = Server.create () in
-  let catalog = Server.Workload.build_catalog ~generated:[] e in
-  let store = Server.store e in
-  let rng = Support.Prng.create 4242L in
-  let digests = Server.digests e in
-  let arts = Server.Artifact.all () in
-  List.iteri
-    (fun i dg ->
-      let repr = List.nth arts (i mod List.length arts) in
-      if repr <> Server.Artifact.native then
-        ignore
-          (Server.Store.corrupt_cached store dg repr
-             ~f:(Support.Fault.mutate rng)))
-    digests;
-  let config = { Server.Workload.default_config with requests = 60 } in
-  let s = Server.Workload.run e ~config catalog in
-  Alcotest.(check bool) "workload completed every request" true
-    (s.Server.Workload.requests = 60)
-
 (* ---- wire+range: a registry-added representation, end to end ---- *)
 
 let test_wire_range_adaptive_selection () =
@@ -453,43 +424,6 @@ let test_wire_range_degradation () =
   Alcotest.(check bool) "healed back to wire+range-opt" true
     (healed.Server.artifact = Server.Artifact.wire_range_opt
     && healed.Server.degraded_from = None)
-
-(* ---- engine + workload: end to end ---- *)
-
-let test_workload_end_to_end () =
-  let e = Server.create ~budget_bytes:(256 * 1024) () in
-  (* hand-written corpus only: enough programs for the Zipf mix without
-     the expensive generated ones *)
-  let catalog = Server.Workload.build_catalog ~generated:[] e in
-  let config = { Server.Workload.default_config with requests = 80 } in
-  let s = Server.Workload.run e ~config catalog in
-  let r = s.Server.Workload.report in
-  Alcotest.(check bool) "cache hits after warm-up" true
-    (r.Server.Stats.cache_hit_rate > 0.0);
-  Alcotest.(check bool) "at least two representations" true
-    (List.length s.Server.Workload.distinct_reprs >= 2);
-  Alcotest.(check bool) "accounting adds up" true
-    (r.Server.Stats.requests
-     >= s.Server.Workload.fetches + s.Server.Workload.chunk_requests);
-  (* adaptive never loses to a feasibility-respecting fixed policy *)
-  List.iter
-    (fun b ->
-      Alcotest.(check bool)
-        ("adaptive <= all " ^ Scenario.Delivery.repr_name b.Server.Workload.fixed)
-        true
-        (s.Server.Workload.adaptive_s <= b.Server.Workload.modelled_s +. 1e-6))
-    s.Server.Workload.baselines
-
-let test_workload_deterministic () =
-  let run_once () =
-    let e = Server.create () in
-    let catalog = Server.Workload.build_catalog ~generated:[] e in
-    let config = { Server.Workload.default_config with requests = 40 } in
-    let s = Server.Workload.run e ~config catalog in
-    (s.Server.Workload.selections, s.Server.Workload.chunk_requests)
-  in
-  let a = run_once () and b = run_once () in
-  Alcotest.(check bool) "same seed, same stream" true (a = b)
 
 (* ---- concurrency: the daemon's shared-state contracts ---- *)
 
@@ -599,8 +533,6 @@ let () =
         ] );
       ( "selector",
         [
-          Alcotest.test_case "matches Delivery.best_of" `Quick
-            test_selector_matches_best_of;
           Alcotest.test_case "hand-picked rate points" `Quick
             test_selector_hand_picked_points;
           Alcotest.test_case "feasibility constraints" `Quick
@@ -635,8 +567,6 @@ let () =
             test_fetch_degrades_on_corrupt_artifact;
           Alcotest.test_case "session open heals" `Quick
             test_session_open_heals_corrupt_chunked;
-          Alcotest.test_case "workload survives injected faults" `Slow
-            test_fault_workload_survives;
         ] );
       ( "wire+range",
         [
@@ -644,11 +574,6 @@ let () =
             test_wire_range_adaptive_selection;
           Alcotest.test_case "degrades and heals" `Quick
             test_wire_range_degradation;
-        ] );
-      ( "workload",
-        [
-          Alcotest.test_case "end to end" `Slow test_workload_end_to_end;
-          Alcotest.test_case "deterministic" `Slow test_workload_deterministic;
         ] );
       ( "concurrency",
         [

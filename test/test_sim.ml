@@ -1,7 +1,7 @@
 (* The fleet simulator: trace format totality and round-trips, the
    replay determinism contract (across runs, across pool sizes, across
    the in-process/daemon boundary), the committed golden scenario
-   corpus, live-run capture, and A/B diffing. *)
+   corpus, and A/B diffing. *)
 
 let mini_keys = [ "wc"; "sieve"; "calc"; "crc" ]
 
@@ -110,23 +110,6 @@ let test_replay_deterministic_across_pool_sizes () =
   Alcotest.(check string) "event logs identical" r1.Sim.Replay.r_log
     r4.Sim.Replay.r_log
 
-let test_replay_daemon_parity () =
-  let t = gen "steady" ~events:60 () in
-  let r = Sim.Replay.run t in
-  let d = Sim.Replay.via_daemon t in
-  (* latencies are measured on the daemon path, everything else —
-     events, served payloads, engine counters — must match exactly *)
-  Alcotest.(check string) "event logs identical" r.Sim.Replay.r_log
-    d.Sim.Replay.r_log;
-  Alcotest.(check int) "serve crc identical" r.Sim.Replay.r_serve_crc
-    d.Sim.Replay.r_serve_crc;
-  Alcotest.(check int) "bytes on wire identical" r.Sim.Replay.r_bytes_on_wire
-    d.Sim.Replay.r_bytes_on_wire;
-  Alcotest.(check int) "decode failures identical"
-    r.Sim.Replay.r_decode_failures d.Sim.Replay.r_decode_failures;
-  Alcotest.(check (float 1e-9)) "cache hit rate identical"
-    r.Sim.Replay.r_cache_hit_rate d.Sim.Replay.r_cache_hit_rate
-
 let test_replay_corruption_heals () =
   let t = gen "corruption-burst" ~events:120 () in
   let has_fault =
@@ -162,17 +145,45 @@ let read_file path =
    the repo root, where the corpus is ./traces *)
 let golden_root = if Sys.file_exists "../traces" then "../traces" else "traces"
 
+let load_golden name =
+  match Sim.Trace.load (golden_root ^ "/" ^ name ^ ".trace") with
+  | Ok t -> t
+  | Error e ->
+    Alcotest.failf "%s.trace: %s" name (Support.Decode_error.to_string e)
+
 let test_golden name () =
-  let base = golden_root ^ "/" ^ name in
-  let trace =
-    match Sim.Trace.load (base ^ ".trace") with
-    | Ok t -> t
-    | Error e ->
-      Alcotest.failf "%s.trace: %s" name (Support.Decode_error.to_string e)
-  in
-  let want = read_file (base ^ ".report") in
-  let got = Sim.Replay.render (Sim.Replay.run trace) in
+  let want = read_file (golden_root ^ "/" ^ name ^ ".report") in
+  let got = Sim.Replay.render (Sim.Replay.run (load_golden name)) in
   Alcotest.(check string) (name ^ " replay matches committed report") want got
+
+(* The daemon backend against the in-process one, on committed traces
+   that reach every branch of the request loop: fetch, stream, resume
+   and fault directives (corruption burst), fetch and update (update
+   storm). Latencies are measured on the daemon path; everything else —
+   events, served payloads, engine counters — must match exactly, and
+   every event is exactly one engine request on both paths. *)
+let test_replay_daemon_parity () =
+  List.iter
+    (fun name ->
+      let t = load_golden name in
+      let r = Sim.Replay.run t in
+      let d = Sim.Replay.via_daemon t in
+      let same what f = Alcotest.(check int) (name ^ ": " ^ what) (f r) (f d) in
+      Alcotest.(check string) (name ^ ": event logs identical")
+        r.Sim.Replay.r_log d.Sim.Replay.r_log;
+      same "serve crc" (fun x -> x.Sim.Replay.r_serve_crc);
+      same "bytes on wire" (fun x -> x.Sim.Replay.r_bytes_on_wire);
+      same "decode failures" (fun x -> x.Sim.Replay.r_decode_failures);
+      same "update corrupt" (fun x -> x.Sim.Replay.r_update_corrupt);
+      Alcotest.(check (float 1e-9)) (name ^ ": cache hit rate")
+        r.Sim.Replay.r_cache_hit_rate d.Sim.Replay.r_cache_hit_rate;
+      List.iter
+        (fun x ->
+          Alcotest.(check int) (name ^ ": one engine request per event")
+            x.Sim.Replay.r_events
+            x.Sim.Replay.r_stats.Server.Stats.requests)
+        [ r; d ])
+    [ "corruption_burst"; "update_storm" ]
 
 (* ---- the update channel ---- *)
 
@@ -182,13 +193,7 @@ let test_golden name () =
    serve decode-verified client-side — and the delta codec itself must
    be what's doing the saving, not just the shared dictionary. *)
 let test_update_storm_channel () =
-  let base = golden_root ^ "/update_storm" in
-  let trace =
-    match Sim.Trace.load (base ^ ".trace") with
-    | Ok t -> t
-    | Error e ->
-      Alcotest.failf "update_storm.trace: %s" (Support.Decode_error.to_string e)
-  in
+  let trace = load_golden "update_storm" in
   let delta =
     Sim.Replay.run
       ~config:{ Sim.Replay.default_config with label = "delta" }
@@ -230,13 +235,7 @@ let test_update_storm_channel () =
    else, so the storm replay must hold the pool-size invariance the
    determinism contract promises *)
 let test_update_storm_pool_invariant () =
-  let base = golden_root ^ "/update_storm" in
-  let trace =
-    match Sim.Trace.load (base ^ ".trace") with
-    | Ok t -> t
-    | Error e ->
-      Alcotest.failf "update_storm.trace: %s" (Support.Decode_error.to_string e)
-  in
+  let trace = load_golden "update_storm" in
   let with_pool domains f =
     let pool = Support.Pool.create ~domains in
     Fun.protect ~finally:(fun () -> Support.Pool.shutdown pool) (fun () -> f pool)
@@ -253,37 +252,6 @@ let test_update_storm_pool_invariant () =
   in
   Alcotest.(check string) "render identical at 1 vs 4 domains"
     (Sim.Replay.render r1) (Sim.Replay.render r4)
-
-(* ---- capture ---- *)
-
-let test_workload_capture_replays () =
-  let engine = Server.create () in
-  let entries = Sim.Catalog.publish engine Sim.Catalog.Mini in
-  let config = { Server.Workload.default_config with requests = 60 } in
-  let summary, trace =
-    Sim.Record.of_workload engine ~config ~catalog_name:"mini" entries
-  in
-  Alcotest.(check bool) "workload ran" true
-    (summary.Server.Workload.requests > 0);
-  Alcotest.(check bool) "capture saw events" true
-    (List.length trace.Sim.Trace.events > 0);
-  Alcotest.(check string) "catalog recorded" "mini" trace.Sim.Trace.catalog;
-  (* the captured trace survives its own format... *)
-  (match Sim.Trace.of_string (Sim.Trace.to_string trace) with
-  | Error e ->
-    Alcotest.failf "captured trace rejected: %s"
-      (Support.Decode_error.to_string e)
-  | Ok t2 ->
-    Alcotest.(check int) "events survive"
-      (List.length trace.Sim.Trace.events)
-      (List.length t2.Sim.Trace.events));
-  (* ...and replays deterministically like any synthesized one *)
-  let r1 = Sim.Replay.run trace in
-  let r2 = Sim.Replay.run trace in
-  Alcotest.(check string) "captured replay deterministic"
-    (Sim.Replay.render r1) (Sim.Replay.render r2);
-  Alcotest.(check bool) "captured replay served bytes" true
-    (r1.Sim.Replay.r_bytes_on_wire > 0)
 
 (* ---- A/B ---- *)
 
@@ -348,11 +316,6 @@ let () =
             test_update_storm_channel;
           Alcotest.test_case "pool-size invariant" `Quick
             test_update_storm_pool_invariant;
-        ] );
-      ( "capture",
-        [
-          Alcotest.test_case "workload capture replays" `Quick
-            test_workload_capture_replays;
         ] );
       ( "ab",
         [
