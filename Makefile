@@ -1,4 +1,4 @@
-.PHONY: all check test fuzz fuzz-quick bench bench-json bench-quick bench-codecs perf-gate maybe-perf-gate server-bench storm-bench paging-bench traces dict clean
+.PHONY: all check test fuzz fuzz-quick bench bench-json bench-quick bench-codecs perf-gate maybe-perf-gate storm-bench paging-bench traces dict clean
 
 all:
 	dune build
@@ -13,7 +13,9 @@ all:
 # and the golden trace replays; storm-bench gates the update channel's
 # savings and paging-bench runs the demand-paged execution sweep and
 # holds its fault/stall/ratio ceilings (both deterministic — modelled
-# latencies and cycles only — so they run unconditionally)
+# latencies and cycles only — so they run unconditionally). The daemon
+# is tested over loopback in the suite (test/test_net.ml, concurrent
+# clients included) and timed by `python3 perfbench/run.py`, not here.
 check: fuzz-quick maybe-perf-gate bench-codecs storm-bench paging-bench
 	dune build && dune runtest
 
@@ -32,18 +34,6 @@ perf-gate:
 	dune exec bench/main.exe -- --quick --codecs-json > BENCH_compressor.new.json
 	dune exec bench/perf_gate.exe -- BENCH_compressor.json BENCH_compressor.new.json
 	@rm -f BENCH_compressor.new.json
-	$(MAKE) server-bench
-	dune exec bench/perf_gate.exe -- --server BENCH_server.json
-
-# drive the real daemon over loopback TCP with the seeded streaming-heavy
-# mix and write the latency/QPS report to BENCH_server.json; the server
-# half of perf-gate then checks the absolute floors (>= 1000 QPS, zero
-# corruption, zero errors)
-server-bench:
-	dune build bin/mccload.exe
-	dune exec bin/mccload.exe -- --self --quick --clients 16 --requests 8000 \
-	  --stream-pct 70 --chunks 24 --json BENCH_server.json
-	@cat BENCH_server.json
 
 # replay the committed update-storm trace with the update channel on
 # and off (mccsim storm) and gate the savings: delta delivery must stay

@@ -3,13 +3,8 @@
    the ratio/throughput frontier for the bit-optimal codecs.
 
    Usage:  perf_gate BASELINE.json FRESH.json
-           perf_gate --server BENCH_server.json
-
-   The --server mode gates the network daemon's load report
-   (`mccload --json`) on absolute floors rather than a baseline diff:
-   wall-clock latency on shared runners is too noisy to diff, but
-   "sustains at least 1000 QPS with zero corruption and zero errors"
-   is a property of the implementation, not the runner.
+           perf_gate --storm BENCH_storm.json
+           perf_gate --paging BENCH_paging.json
 
    A stage regresses when its fresh wall time exceeds the baseline by
    more than 25% AND by more than a 2 ms absolute floor — the floor
@@ -140,9 +135,7 @@ let parse (s : string) : row list * size_row list =
   done;
   (List.rev !rows, List.rev !sizes)
 
-(* ---- --server mode: absolute floors over mccload's JSON report ---- *)
-
-let min_qps = 1000.0
+(* ---- key scanners over our own fixed-format JSON ---- *)
 
 (* Every numeric value of a key, in document order. The paging report
    repeats the same keys once per corpus point (and per budget row), so
@@ -169,45 +162,9 @@ let scan_all (s : string) key =
   done;
   List.rev !acc
 
-(* Last numeric value of a key: the summary counters come after the
-   echoed "config" object (which reuses "qps" for the requested rate),
-   so the last occurrence is the measured one. *)
+(* Last numeric value of a key. *)
 let scan_number s key =
   match List.rev (scan_all s key) with v :: _ -> Some v | [] -> None
-
-let server_gate path =
-  let s = read_file path in
-  let get key =
-    match scan_number s key with
-    | Some v -> v
-    | None ->
-      Printf.eprintf "perf-gate: no \"%s\" in %s\n" key path;
-      exit 2
-  in
-  let qps = get "qps" in
-  let corrupt = get "corrupt" in
-  let errors = get "errors" in
-  let shed = get "shed" in
-  let failures = ref 0 in
-  let check cond msg =
-    Printf.printf "  [%s] %s\n" (if cond then "ok" else "FAIL") msg;
-    if not cond then incr failures
-  in
-  Printf.printf "server gate on %s:\n" path;
-  check (qps >= min_qps)
-    (Printf.sprintf "sustained %.0f QPS >= %.0f" qps min_qps);
-  check (corrupt = 0.0)
-    (Printf.sprintf "%.0f corrupt responses (every response decode-verified)"
-       corrupt);
-  check (errors = 0.0) (Printf.sprintf "%.0f error responses" errors);
-  (* sheds are legal under overload but the bench run is sized within
-     capacity, so report them without failing *)
-  Printf.printf "  [--] %.0f connections shed\n" shed;
-  if !failures > 0 then begin
-    Printf.printf "\nperf-gate: FAIL — %d server floor(s) missed\n" !failures;
-    exit 1
-  end
-  else print_endline "\nperf-gate: OK — server floors hold"
 
 (* ---- --storm mode: the update channel must actually save bytes ---- *)
 
@@ -377,10 +334,6 @@ let paging_gate path =
       "\nperf-gate: OK — paged execution bounded, hot layout pays for itself"
 
 let () =
-  if Array.length Sys.argv = 3 && Sys.argv.(1) = "--server" then begin
-    server_gate Sys.argv.(2);
-    exit 0
-  end;
   if Array.length Sys.argv = 3 && Sys.argv.(1) = "--storm" then begin
     storm_gate Sys.argv.(2);
     exit 0
@@ -391,9 +344,8 @@ let () =
   end;
   if Array.length Sys.argv <> 3 then begin
     prerr_endline
-      "usage: perf_gate BASELINE.json FRESH.json | perf_gate --server \
-       BENCH_server.json | perf_gate --storm BENCH_storm.json | perf_gate \
-       --paging BENCH_paging.json";
+      "usage: perf_gate BASELINE.json FRESH.json | perf_gate --storm \
+       BENCH_storm.json | perf_gate --paging BENCH_paging.json";
     exit 2
   end;
   let base, base_sizes = parse (read_file Sys.argv.(1)) in

@@ -74,11 +74,10 @@ let man_codecs =
        markdown table. The registry is the single source of the \
        delivery server's representation menu." ]
 
-(* Publish the corpus catalog the serve daemon and the self-hosted load
-   generator share. The flavors live in Sim.Catalog so traces can name
-   the key space they were cut against; generated programs get stable
-   short names (gen24, gen40, ...) so logs and traces can refer to
-   them. *)
+(* Publish the corpus catalog the serve daemon serves. The flavors live
+   in Sim.Catalog so traces can name the key space they were cut
+   against; generated programs get stable short names (gen24, gen40,
+   ...) so logs and traces can refer to them. *)
 let publish_catalog ?(quick = false) engine =
   Sim.Catalog.publish engine
     (if quick then Sim.Catalog.Quick else Sim.Catalog.Full)

@@ -72,7 +72,8 @@ let serve_cmd =
   in
   let max_sessions =
     Arg.(value & opt int 1024 & info [ "max-sessions" ] ~docv:"N"
-         ~doc:"Bound on the resumable chunked-session table.")
+         ~doc:"Resident resumable chunked sessions; an open beyond \
+               that evicts the least recently used one.")
   in
   Cmd.v
     (Cmd.info "serve"

@@ -1,5 +1,5 @@
 (* Minimal blocking client for the mccd protocol: one connection, one
-   request in flight. The load generator runs many of these. *)
+   request in flight. *)
 
 type t = { fd : Unix.file_descr }
 

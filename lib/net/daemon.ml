@@ -31,7 +31,11 @@
    [Open] with its resume token to pick up exactly where it left off
    (the [Session] replay table retransmits dropped chunks
    byte-for-byte). Each session carries its own mutex: two connections
-   presenting the same token serialize rather than race.
+   presenting the same token serialize rather than race. The table is
+   the artifact cache's LRU at cost 1 per session: an open past
+   [max_sessions] evicts the least recently used session (open, resume
+   and chunk requests count as uses), whose token then answers
+   [Bad_session].
 
    Shutdown: [request_stop] (safe to call from a signal handler) flips
    an atomic flag; the accept loop stops accepting and closes the
@@ -42,7 +46,7 @@ type config = {
   port : int;            (* 0 = ephemeral; see [port] after [create] *)
   domains : int;         (* worker event loops *)
   queue_depth : int;     (* max live connections per worker *)
-  max_sessions : int;    (* bound on the resumable-session table *)
+  max_sessions : int;    (* resident sessions; the LRU one goes first *)
   profiles : Server.Profile.t list;  (* what [Fetch] may name *)
 }
 
@@ -96,11 +100,12 @@ type t = {
   workers : worker array;
   counters : counters;
   sess_mu : Mutex.t;
-  sessions : (string, tracked) Hashtbl.t;
+  sessions : tracked Server.Cache.t;
   token_ctr : int Atomic.t;
 }
 
 let create engine ~catalog cfg =
+  if cfg.max_sessions < 1 then invalid_arg "Daemon.create: max_sessions < 1";
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
   Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, cfg.port));
@@ -138,7 +143,8 @@ let create engine ~catalog cfg =
         closed = Atomic.make 0;
       };
     sess_mu = Mutex.create ();
-    sessions = Hashtbl.create 64;
+    sessions =
+      Server.Cache.create ~size:(fun _ -> 1) ~budget_bytes:cfg.max_sessions;
     token_ctr = Atomic.make 0;
   }
 
@@ -146,7 +152,7 @@ let port t = t.bound_port
 
 let stats t =
   Mutex.lock t.sess_mu;
-  let sessions = Hashtbl.length t.sessions in
+  let sessions = (Server.Cache.stats t.sessions).Server.Cache.resident_count in
   Mutex.unlock t.sess_mu;
   {
     c_accepted = Atomic.get t.counters.accepted;
@@ -195,37 +201,31 @@ let handle_open t ~codec ~digest ~resume ~held =
        session's negotiated context (its original held set) survives —
        the [held] field of a resume is ignored *)
     match
-      with_lock t.sess_mu (fun () -> Hashtbl.find_opt t.sessions resume)
+      with_lock t.sess_mu (fun () -> Server.Cache.find t.sessions resume)
     with
     | None -> Protocol.Err (Protocol.Bad_session, "unknown resume token")
     | Some tr -> with_lock tr.sm (fun () -> index_resp resume tr)
   else
     let codec = if codec = "" then "chunked-wire" else codec in
-    let full =
-      with_lock t.sess_mu (fun () ->
-          Hashtbl.length t.sessions >= t.cfg.max_sessions)
-    in
-    if full then Protocol.Err (Protocol.Busy, "session table full")
-    else
-      match Server.open_session_for t.engine ~codec digest with
-      | Error (`Unknown_codec c) ->
-        Protocol.Err (Protocol.Unknown_name, "unknown codec " ^ c)
-      | Error (`Not_streamable c) ->
-        Protocol.Err
-          (Protocol.Not_streamable, "codec " ^ c ^ " is not streamable")
-      | Ok sess ->
-        let token = fresh_token t in
-        let tr = { sess; sm = Mutex.create (); held } in
-        with_lock t.sess_mu (fun () -> Hashtbl.replace t.sessions token tr);
-        index_resp token tr
-      | exception Not_found ->
-        Protocol.Err (Protocol.Unknown_name, "unknown digest " ^ digest)
-      | exception Support.Decode_error.Fail e ->
-        Protocol.Err (Protocol.Server_error, Support.Decode_error.to_string e)
-      | exception Failure msg -> Protocol.Err (Protocol.Server_error, msg)
+    match Server.open_session_for t.engine ~codec digest with
+    | Error (`Unknown_codec c) ->
+      Protocol.Err (Protocol.Unknown_name, "unknown codec " ^ c)
+    | Error (`Not_streamable c) ->
+      Protocol.Err
+        (Protocol.Not_streamable, "codec " ^ c ^ " is not streamable")
+    | Ok sess ->
+      let token = fresh_token t in
+      let tr = { sess; sm = Mutex.create (); held } in
+      with_lock t.sess_mu (fun () -> Server.Cache.add t.sessions token tr);
+      index_resp token tr
+    | exception Not_found ->
+      Protocol.Err (Protocol.Unknown_name, "unknown digest " ^ digest)
+    | exception Support.Decode_error.Fail e ->
+      Protocol.Err (Protocol.Server_error, Support.Decode_error.to_string e)
+    | exception Failure msg -> Protocol.Err (Protocol.Server_error, msg)
 
 let handle_chunk t ~token ~seq ~name =
-  match with_lock t.sess_mu (fun () -> Hashtbl.find_opt t.sessions token) with
+  match with_lock t.sess_mu (fun () -> Server.Cache.find t.sessions token) with
   | None -> Protocol.Err (Protocol.Bad_session, "unknown session token")
   | Some tr -> (
     match

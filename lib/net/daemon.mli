@@ -8,13 +8,17 @@
     live in a daemon-level table keyed by resume token, so a client
     can reconnect after a dropped connection — possibly onto a
     different worker domain — and resume its chunked stream
-    byte-for-byte. *)
+    byte-for-byte. The table holds at most [max_sessions]; an open
+    beyond that evicts the least recently used session, whose token
+    then answers [Bad_session]. *)
 
 type config = {
   port : int;           (** 0 = ephemeral; read back with {!port} *)
   domains : int;        (** worker event loops *)
   queue_depth : int;    (** max live connections per worker *)
-  max_sessions : int;   (** bound on the resumable-session table *)
+  max_sessions : int;
+      (** resident resumable sessions; an open past it evicts the
+          least recently used one (open, resume and chunk are uses) *)
   profiles : Server.Profile.t list;  (** what [Fetch] requests may name *)
 }
 
@@ -27,7 +31,8 @@ type t
 val create : Server.t -> catalog:Protocol.catalog_row list -> config -> t
 (** Bind and listen on loopback. The engine should be created with
     [~shards] matching the worker count — every worker domain hits it
-    concurrently. *)
+    concurrently.
+    @raise Invalid_argument when [max_sessions < 1]. *)
 
 val port : t -> int
 (** The bound port (meaningful when the config asked for port 0). *)

@@ -30,7 +30,7 @@ let max_held = 64
 type req =
   | Ping
   | List
-      (** the published catalog: what a load generator can ask for *)
+      (** the published catalog: what a client can ask for *)
   | Dict
       (** the server's shared dictionary, so the client can hold it *)
   | Fetch of { profile : string; digest : string; held : string list }
@@ -59,9 +59,8 @@ type err_code =
   | Bad_request     (** the request frame did not decode *)
   | Unknown_name    (** digest, profile or codec the server has never seen *)
   | Not_streamable  (** the named codec is not registered streamable *)
-  | Bad_session     (** unknown or expired session token *)
+  | Bad_session     (** unknown or evicted session token *)
   | Bad_seq         (** session-level refusal (bad seq / unknown function) *)
-  | Busy            (** session table full; retry later *)
   | Server_error    (** the engine failed internally *)
 
 let err_code_byte = function
@@ -70,8 +69,7 @@ let err_code_byte = function
   | Not_streamable -> 2
   | Bad_session -> 3
   | Bad_seq -> 4
-  | Busy -> 5
-  | Server_error -> 6
+  | Server_error -> 6  (* 5 is unassigned and decodes as unknown *)
 
 let err_code_of_byte = function
   | 0 -> Some Bad_request
@@ -79,7 +77,6 @@ let err_code_of_byte = function
   | 2 -> Some Not_streamable
   | 3 -> Some Bad_session
   | 4 -> Some Bad_seq
-  | 5 -> Some Busy
   | 6 -> Some Server_error
   | _ -> None
 
@@ -89,7 +86,6 @@ let err_code_name = function
   | Not_streamable -> "not-streamable"
   | Bad_session -> "bad-session"
   | Bad_seq -> "bad-seq"
-  | Busy -> "busy"
   | Server_error -> "server-error"
 
 type resp =

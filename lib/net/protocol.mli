@@ -46,7 +46,6 @@ type err_code =
   | Not_streamable
   | Bad_session
   | Bad_seq
-  | Busy
   | Server_error
 
 val err_code_name : err_code -> string

@@ -21,22 +21,20 @@
 type config = {
   page_bytes : int;  (* compressed bytes packed per page *)
   budget_bytes : int;  (* decompressed resident-set budget *)
-  fault_cycles : int;  (* fixed per-fault trap + index lookup cost *)
-  decompress_cycles_per_byte : int;  (* stall per compressed byte expanded *)
 }
 
-let config ?(page_bytes = 1024) ?(fault_cycles = 2_000)
-    ?(decompress_cycles_per_byte = 40) ~budget_bytes () =
-  { page_bytes; budget_bytes; fault_cycles; decompress_cycles_per_byte }
+let config ?(page_bytes = 1024) ~budget_bytes () = { page_bytes; budget_bytes }
+
+(* the stall model: a fixed per-fault trap + index lookup cost, plus a
+   stall per compressed byte expanded *)
+let fault_cycles = 2_000
+let decompress_cycles_per_byte = 40
 
 type run = {
   res : Vm.Interp.result;  (* the last repeat's result *)
   stats : Vm.Pager.stats;
-  pages : int;  (* load units in the image *)
-  page_of : int array;  (* function index -> page *)
   total_steps : int;  (* across all repeats of the session *)
   overhead : float;  (* paged cycles / fully-resident cycles *)
-  fault_time_s : float;  (* Paging cost model applied to the fault count *)
 }
 
 type error =
@@ -46,18 +44,6 @@ type error =
 let error_to_string = function
   | Decode e -> Support.Decode_error.to_string e
   | Trap m -> "trap: " ^ m
-
-(* The wall-style cost of the faults under the existing Scenario.Paging
-   model (a 10 ms fault plus per-page decompression), so the paged run
-   plugs into the same delivery-time stories the other scenarios use. *)
-let fault_time_s (paging : Paging.config) (stats : Vm.Pager.stats) =
-  float_of_int stats.Vm.Pager.faults
-  *. (paging.Paging.fault_cost_us +. paging.Paging.decompress_us_per_page)
-  /. 1.0e6
-
-let default_paging =
-  { (Paging.default_config ~resident_pages:0) with
-    Paging.decompress_us_per_page = 100.0 }
 
 (* decompressed VM footprint of the whole image: what "fully resident"
    costs, and the denominator budget fractions are quoted against *)
@@ -70,9 +56,8 @@ let vm_image_bytes (t : Wire.Chunked.t) =
   done;
   !total
 
-let run_vm ?(cfg = config ~budget_bytes:(64 * 1024) ())
-    ?(paging = default_paging) ?(repeat = 1) ?mem_size ?input ?fuel ?entry
-    (t : Wire.Chunked.t) : (run, error) result =
+let run_vm ?(cfg = config ~budget_bytes:(64 * 1024) ()) ?(repeat = 1)
+    ?mem_size ?input ?fuel ?entry (t : Wire.Chunked.t) : (run, error) result =
   let n = Wire.Chunked.chunk_count t in
   let names = Array.init n (Wire.Chunked.name_at t) in
   let compressed = Array.init n (Wire.Chunked.chunk_size_at t) in
@@ -107,8 +92,7 @@ let run_vm ?(cfg = config ~budget_bytes:(64 * 1024) ())
     {
       Vm.Pager.item = List.map (fun (i, _, fr) -> (i, fr)) frames;
       cost_bytes = cost;
-      stall_cycles =
-        cfg.fault_cycles + (cfg.decompress_cycles_per_byte * zbytes);
+      stall_cycles = fault_cycles + (decompress_cycles_per_byte * zbytes);
     }
   in
   let pager =
@@ -124,7 +108,7 @@ let run_vm ?(cfg = config ~budget_bytes:(64 * 1024) ())
     Array.fold_left
       (fun acc members ->
         let zbytes = List.fold_left (fun a i -> a + compressed.(i)) 0 members in
-        acc + cfg.fault_cycles + (cfg.decompress_cycles_per_byte * zbytes))
+        acc + fault_cycles + (decompress_cycles_per_byte * zbytes))
       0 members
   in
   match
@@ -149,13 +133,10 @@ let run_vm ?(cfg = config ~budget_bytes:(64 * 1024) ())
       {
         res;
         stats;
-        pages = npages;
-        page_of;
         total_steps;
         overhead =
           float_of_int (total_steps + stats.Vm.Pager.stall_cycles)
           /. float_of_int (total_steps + resident_stall);
-        fault_time_s = fault_time_s paging stats;
       }
   | exception Support.Decode_error.Fail e -> Error (Decode e)
   | exception Vm.Interp.Runtime_error m -> Error (Trap m)
@@ -177,8 +158,8 @@ type brisc_run = {
   boverhead : float;  (* (vm_steps + stall) / vm_steps *)
 }
 
-let run_brisc ?(budget_bytes = 16 * 1024) ?(fault_cycles = 2_000) ?mem_size
-    ?input ?fuel ?entry (img : Brisc.Emit.image) : (brisc_run, error) result =
+let run_brisc ?(budget_bytes = 16 * 1024) ?mem_size ?input ?fuel ?entry
+    (img : Brisc.Emit.image) : (brisc_run, error) result =
   let sizes =
     Array.map
       (fun (f : Brisc.Emit.ifunc) -> String.length f.Brisc.Emit.code)

@@ -17,26 +17,15 @@
 type config = {
   page_bytes : int;      (** compressed bytes packed per page *)
   budget_bytes : int;    (** decompressed resident-set budget *)
-  fault_cycles : int;    (** fixed per-fault trap cost *)
-  decompress_cycles_per_byte : int;
-      (** stall per compressed byte expanded on a fault *)
 }
 
-val config :
-  ?page_bytes:int ->
-  ?fault_cycles:int ->
-  ?decompress_cycles_per_byte:int ->
-  budget_bytes:int ->
-  unit ->
-  config
-(** Defaults: 1 KiB pages, 2000-cycle faults, 40 cycles per compressed
-    byte decompressed. *)
+val config : ?page_bytes:int -> budget_bytes:int -> unit -> config
+(** Default: 1 KiB pages. A fault stalls 2000 cycles plus 40 cycles per
+    compressed byte decompressed. *)
 
 type run = {
   res : Vm.Interp.result;  (** the last repeat's result *)
   stats : Vm.Pager.stats;
-  pages : int;           (** load units in the image *)
-  page_of : int array;   (** function index -> page *)
   total_steps : int;     (** VM steps summed across all repeats *)
   overhead : float;
       (** paged cycles over the fully-resident baseline:
@@ -44,8 +33,6 @@ type run = {
           decompression)]. Fully resident is not free — it expands
           every page once at startup — so a paged run that skips
           enough cold code comes in under 1.0. *)
-  fault_time_s : float;  (** the fault count under the
-                             {!Paging.config} wall-time cost model *)
 }
 
 type error =
@@ -55,8 +42,6 @@ type error =
 
 val error_to_string : error -> string
 
-val fault_time_s : Paging.config -> Vm.Pager.stats -> float
-
 val vm_image_bytes : Wire.Chunked.t -> int
 (** Total decompressed VM footprint (sum of encoded function sizes) —
     what fully-resident costs, and the denominator budget fractions
@@ -65,7 +50,6 @@ val vm_image_bytes : Wire.Chunked.t -> int
 
 val run_vm :
   ?cfg:config ->
-  ?paging:Paging.config ->
   ?repeat:int ->
   ?mem_size:int ->
   ?input:string ->
@@ -96,7 +80,6 @@ type brisc_run = {
 
 val run_brisc :
   ?budget_bytes:int ->
-  ?fault_cycles:int ->
   ?mem_size:int ->
   ?input:string ->
   ?fuel:int ->

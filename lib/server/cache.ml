@@ -1,21 +1,24 @@
-(* Byte-budgeted LRU cache for compressed artifacts.
+(* Budgeted LRU cache: compressed artifacts in the store (cost = bytes)
+   and the daemon's resumable sessions (cost = 1, budget = the session
+   cap).
 
    Entries form an intrusive doubly-linked recency list threaded through
    a hashtable, so lookup, insert and evict are all O(1): the server
    must stay cheap per request even with a large catalog resident. *)
 
-type entry = {
+type 'v entry = {
   key : string;
-  value : string;
-  mutable prev : entry option;  (* towards most-recently-used *)
-  mutable next : entry option;  (* towards least-recently-used *)
+  value : 'v;
+  mutable prev : 'v entry option;  (* towards most-recently-used *)
+  mutable next : 'v entry option;  (* towards least-recently-used *)
 }
 
-type t = {
+type 'v t = {
+  size : 'v -> int;
   budget_bytes : int;
-  tbl : (string, entry) Hashtbl.t;
-  mutable mru : entry option;
-  mutable lru : entry option;
+  tbl : (string, 'v entry) Hashtbl.t;
+  mutable mru : 'v entry option;
+  mutable lru : 'v entry option;
   mutable resident_bytes : int;
   mutable hits : int;
   mutable misses : int;
@@ -31,9 +34,10 @@ type stats = {
   budget_bytes : int;
 }
 
-let create ~budget_bytes =
+let create ~size ~budget_bytes =
   if budget_bytes < 0 then invalid_arg "Cache.create: negative budget";
   {
+    size;
     budget_bytes;
     tbl = Hashtbl.create 64;
     mru = None;
@@ -44,19 +48,19 @@ let create ~budget_bytes =
     evictions = 0;
   }
 
-let unlink (t : t) e =
+let unlink (t : _ t) e =
   (match e.prev with Some p -> p.next <- e.next | None -> t.mru <- e.next);
   (match e.next with Some n -> n.prev <- e.prev | None -> t.lru <- e.prev);
   e.prev <- None;
   e.next <- None
 
-let push_front (t : t) e =
+let push_front (t : _ t) e =
   e.next <- t.mru;
   e.prev <- None;
   (match t.mru with Some m -> m.prev <- Some e | None -> t.lru <- Some e);
   t.mru <- Some e
 
-let find (t : t) key =
+let find (t : _ t) key =
   match Hashtbl.find_opt t.tbl key with
   | Some e ->
     t.hits <- t.hits + 1;
@@ -67,12 +71,12 @@ let find (t : t) key =
     t.misses <- t.misses + 1;
     None
 
-let remove_entry (t : t) e =
+let remove_entry (t : _ t) e =
   unlink t e;
   Hashtbl.remove t.tbl e.key;
-  t.resident_bytes <- t.resident_bytes - String.length e.value
+  t.resident_bytes <- t.resident_bytes - t.size e.value
 
-let evict_to_budget (t : t) =
+let evict_to_budget (t : _ t) =
   while t.resident_bytes > t.budget_bytes && t.lru <> None do
     match t.lru with
     | None -> ()
@@ -81,35 +85,36 @@ let evict_to_budget (t : t) =
       t.evictions <- t.evictions + 1
   done
 
-let add (t : t) key value =
+let add (t : _ t) key value =
   (match Hashtbl.find_opt t.tbl key with
   | Some old -> remove_entry t old
   | None -> ());
-  (* an artifact bigger than the whole budget passes through uncached
+  (* a value costing more than the whole budget passes through uncached
      rather than flushing everything else *)
-  if String.length value <= t.budget_bytes then begin
+  let cost = t.size value in
+  if cost <= t.budget_bytes then begin
     let e = { key; value; prev = None; next = None } in
     Hashtbl.add t.tbl key e;
     push_front t e;
-    t.resident_bytes <- t.resident_bytes + String.length value;
+    t.resident_bytes <- t.resident_bytes + cost;
     evict_to_budget t
   end
 
-let mem (t : t) key = Hashtbl.mem t.tbl key
+let mem (t : _ t) key = Hashtbl.mem t.tbl key
 
 (* quarantine path: dropping a poisoned artifact is not an eviction —
    evictions measure budget pressure, not hostile input *)
-let remove (t : t) key =
+let remove (t : _ t) key =
   match Hashtbl.find_opt t.tbl key with
   | Some e -> remove_entry t e
   | None -> ()
 
-let peek (t : t) key =
+let peek (t : _ t) key =
   match Hashtbl.find_opt t.tbl key with
   | Some e -> Some e.value
   | None -> None
 
-let stats (t : t) =
+let stats (t : _ t) =
   {
     hits = t.hits;
     misses = t.misses;

@@ -43,7 +43,7 @@ type meta = {
   fn_names : string list;
 }
 
-type shard = { smu : Mutex.t; cache : Cache.t }
+type shard = { smu : Mutex.t; cache : string Cache.t }
 
 (* One in-flight build (a materialization or a publish). The winner
    computes, then parks the result here and broadcasts; late arrivals
@@ -83,7 +83,10 @@ let create ?pool ?(shards = 1) ~budget_bytes ~stats () =
           let budget_bytes =
             if i = 0 then budget_bytes - (slice * (shards - 1)) else slice
           in
-          { smu = Mutex.create (); cache = Cache.create ~budget_bytes });
+          {
+            smu = Mutex.create ();
+            cache = Cache.create ~size:String.length ~budget_bytes;
+          });
     stats;
     pool;
     meta_mu = Mutex.create ();

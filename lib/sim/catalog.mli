@@ -25,4 +25,4 @@ val is_old_version : string -> bool
 val publish : Server.t -> flavor -> Server.Workload.entry list
 (** Publish the flavor's programs and return the catalog. Generated
     programs get their stable [genN] names, exactly as [mccd serve]
-    and [mccload --self] publish them. *)
+    publishes them. *)

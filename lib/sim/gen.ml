@@ -2,9 +2,9 @@
 
    Each generator is a pure function of (seed, events, keys): clients
    are synthetic ("c0".."cN"), each pinned to a profile; program
-   popularity is the same Zipf flavour the load generator uses (weight
-   1000/(rank+1) in key order); timestamps advance by seeded gaps, so
-   every cut of a scenario is byte-identical for a given seed.
+   popularity is Zipf-weighted (weight 1000/(rank+1) in key order);
+   timestamps advance by seeded gaps, so every cut of a scenario is
+   byte-identical for a given seed.
 
    Streaming ops go to clients whose profile prefers streaming
    (embedded): a Stream event is a handshake on first touch and the

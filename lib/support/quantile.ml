@@ -1,7 +1,5 @@
-(* Latency-quantile math shared by the load generator, the trace
-   simulator, and the benches. Lived in Net.Load originally; hoisted
-   here so the simulator's modelled latency buckets and the bench
-   reports stop depending on the TCP layer for arithmetic. *)
+(* Latency-quantile math for the trace simulator's modelled latency
+   buckets and the bench reports. *)
 
 type bucket = {
   count : int;

@@ -1,5 +1,4 @@
-(** Latency-quantile math shared by the load generator, the trace
-    simulator, and the benches. *)
+(** Latency-quantile math for the trace simulator and the benches. *)
 
 type bucket = {
   count : int;

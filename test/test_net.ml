@@ -1,7 +1,7 @@
 (* Tests for the network layer: protocol totality, the daemon end to
    end over real loopback sockets, session resume across reconnects,
-   overload shedding, registry gating on the serve path, and graceful
-   drain. *)
+   the bounded session table, overload shedding, registry gating on the
+   serve path, graceful drain, and concurrent clients. *)
 
 let prog src = Cc.Lower.compile src
 
@@ -151,6 +151,8 @@ let test_hostile_responses () =
     (Support.Frame.seal ~magic:Net.Protocol.magic "qnonsense");
   check "error code out of domain"
     (Support.Frame.seal ~magic:Net.Protocol.magic "e\x63\x00");
+  check "unassigned error code 5"
+    (Support.Frame.seal ~magic:Net.Protocol.magic "e\x05\x00");
   check "cache flag out of domain"
     (Support.Frame.seal ~magic:Net.Protocol.magic
        (let b = Buffer.create 16 in
@@ -178,14 +180,16 @@ type harness = {
   engine : Server.t;
 }
 
-let start ?(domains = 2) ?(queue_depth = 8) () =
+let start ?(domains = 2) ?(queue_depth = 8)
+    ?(max_sessions = Net.Daemon.default_config.max_sessions) () =
   let engine = Server.create ~shards:domains () in
   let digest = Server.publish engine ~run_cycles:1_000_000 (prog multi_fn_src) in
   let catalog =
     [ { Net.Protocol.prog_name = "multi"; prog_digest = digest; fn_count = 4 } ]
   in
   let cfg =
-    { Net.Daemon.default_config with port = 0; domains; queue_depth }
+    { Net.Daemon.default_config with
+      port = 0; domains; queue_depth; max_sessions }
   in
   let daemon = Net.Daemon.create engine ~catalog cfg in
   let runner = Domain.spawn (fun () -> Net.Daemon.run daemon) in
@@ -325,6 +329,42 @@ let test_daemon_resume_across_reconnect () =
   with
   | Net.Protocol.Err (Net.Protocol.Bad_session, _) -> ()
   | _ -> Alcotest.fail "bogus resume token must be a typed error"
+
+(* the session table is an LRU at max_sessions: opens past the cap
+   evict the least recently used session instead of being refused *)
+let test_daemon_session_table_bounded () =
+  let h = start ~max_sessions:8 () in
+  Fun.protect ~finally:(fun () -> stop h) @@ fun () ->
+  Alcotest.check_raises "max_sessions < 1 is refused"
+    (Invalid_argument "Daemon.create: max_sessions < 1") (fun () ->
+      ignore
+        (Net.Daemon.create h.engine ~catalog:[]
+           { Net.Daemon.default_config with max_sessions = 0 }));
+  let c = Net.Client.connect ~port:(Net.Daemon.port h.daemon) in
+  Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
+  let opened = Array.init 80 (fun _ -> open_session c h.digest) in
+  let s = Net.Daemon.stats h.daemon in
+  Alcotest.(check int) "resident sessions held at the cap" 8
+    s.Net.Daemon.c_sessions;
+  let token i = let t, _, _ = opened.(i) in t in
+  let _, _, rows = opened.(0) in
+  let name seq = fst (List.nth rows seq) in
+  let evicted i =
+    match
+      rpc_ok c (Net.Protocol.Chunk { token = token i; seq = 0; name = name 0 })
+    with
+    | Net.Protocol.Err (Net.Protocol.Bad_session, _) -> ()
+    | _ -> Alcotest.fail "an evicted token must answer Bad_session"
+  in
+  evicted 0;
+  Alcotest.(check bool) "the newest session is served" true
+    (String.length (get_chunk c (token 79) 0 (name 0)) > 0);
+  (* a chunk request is a use: it saves the oldest resident session
+     from the next eviction, which takes the one after it instead *)
+  ignore (get_chunk c (token 72) 0 (name 0));
+  ignore (open_session c h.digest);
+  ignore (get_chunk c (token 72) 1 (name 1));
+  evicted 73
 
 (* ---- context negotiation over the wire ---- *)
 
@@ -572,31 +612,67 @@ let test_daemon_drains_on_stop () =
   let s = Net.Daemon.stats h.daemon in
   Alcotest.(check bool) "served before drain" true (s.Net.Daemon.c_served >= 1)
 
-(* the load generator against a live daemon: every response verified,
-   none corrupt *)
-let test_load_generator_end_to_end () =
-  let h = start () in
+(* four clients, each on its own connection, against two worker lanes.
+   Every round fetches under each profile and streams one whole
+   session; every artifact must decode through the codec its response
+   names and every chunk through the wire decoder. Failures are counted
+   per thread and checked after the joins, since an Alcotest failure
+   raised inside a thread would not fail the test. *)
+let test_load_concurrent_clients () =
+  let h = start ~domains:2 () in
   Fun.protect ~finally:(fun () -> stop h) @@ fun () ->
-  let cfg =
-    {
-      Net.Load.default_config with
-      port = Net.Daemon.port h.daemon;
-      clients = 4;
-      requests = 150;
-      domains = 2;
-      stream_pct = 50;
-    }
+  let port = Net.Daemon.port h.daemon in
+  let profiles =
+    List.map
+      (fun p -> p.Server.Profile.name)
+      Net.Daemon.default_config.Net.Daemon.profiles
   in
-  let r = Net.Load.run cfg in
-  Alcotest.(check int) "all ops sent" 150 r.Net.Load.sent;
-  Alcotest.(check int) "no errors" 0 r.Net.Load.errors;
-  Alcotest.(check int) "no corruption" 0 r.Net.Load.corrupt;
-  Alcotest.(check int) "all ok" 150 r.Net.Load.ok;
-  Alcotest.(check bool) "latencies recorded" true
-    (r.Net.Load.lat_all.Net.Load.count = 150)
-
-(* the percentile math moved to Support.Quantile (and its property
-   tests to test_support); Load re-exports it for its report types *)
+  let client failures () =
+    let fail () = incr failures in
+    let decodes = function Ok _ -> () | Error _ -> fail () in
+    let rpc c req = Result.to_option (Net.Client.rpc c req) in
+    let round c =
+      List.iter
+        (fun profile ->
+          match
+            rpc c (Net.Protocol.Fetch { profile; digest = h.digest; held = [] })
+          with
+          | Some (Net.Protocol.Artifact { codec; body; _ }) -> (
+            match Codec.find codec with
+            | Some e -> decodes (Codec.decode e.Codec.codec body)
+            | None -> fail ())
+          | _ -> fail ())
+        profiles;
+      match
+        rpc c
+          (Net.Protocol.Open
+             { codec = ""; digest = h.digest; resume = ""; held = [] })
+      with
+      | Some (Net.Protocol.Index { token; rows; _ }) ->
+        List.iteri
+          (fun seq (name, _) ->
+            match rpc c (Net.Protocol.Chunk { token; seq; name }) with
+            | Some (Net.Protocol.Chunk_data payload) ->
+              decodes (Wire.decompress payload)
+            | _ -> fail ())
+          rows
+      | _ -> fail ()
+    in
+    match Net.Client.connect ~port with
+    | c ->
+      Fun.protect ~finally:(fun () -> Net.Client.close c) (fun () ->
+          for _ = 1 to 6 do
+            try round c with _ -> fail ()
+          done)
+    | exception _ -> fail ()
+  in
+  let failures = Array.init 4 (fun _ -> ref 0) in
+  Array.map (fun f -> Thread.create (client f) ()) failures
+  |> Array.iter Thread.join;
+  Array.iteri
+    (fun i f ->
+      Alcotest.(check int) (Printf.sprintf "client %d failures" i) 0 !f)
+    failures
 
 let () =
   Alcotest.run "net"
@@ -616,6 +692,8 @@ let () =
             test_daemon_streaming_session;
           Alcotest.test_case "resume across reconnect" `Quick
             test_daemon_resume_across_reconnect;
+          Alcotest.test_case "session table bounded" `Quick
+            test_daemon_session_table_bounded;
           Alcotest.test_case "shared dictionary handout" `Quick
             test_daemon_dict;
           Alcotest.test_case "held dictionary unlocks contexted serves"
@@ -638,7 +716,7 @@ let () =
         ] );
       ( "load",
         [
-          Alcotest.test_case "generator end to end" `Quick
-            test_load_generator_end_to_end;
+          Alcotest.test_case "concurrent clients" `Quick
+            test_load_concurrent_clients;
         ] );
     ]

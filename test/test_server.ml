@@ -7,7 +7,7 @@ let d = String.make 1
 (* ---- cache: byte-budgeted LRU ---- *)
 
 let test_cache_eviction_under_budget () =
-  let c = Server.Cache.create ~budget_bytes:100 in
+  let c = Server.Cache.create ~size:String.length ~budget_bytes:100 in
   Server.Cache.add c "a" (String.make 40 'a');
   Server.Cache.add c "b" (String.make 40 'b');
   (* touching "a" makes "b" the LRU entry *)
@@ -23,7 +23,7 @@ let test_cache_eviction_under_budget () =
   Alcotest.(check int) "two resident" 2 st.Server.Cache.resident_count
 
 let test_cache_counts_hits_and_misses () =
-  let c = Server.Cache.create ~budget_bytes:100 in
+  let c = Server.Cache.create ~size:String.length ~budget_bytes:100 in
   Server.Cache.add c "k" "v";
   Alcotest.(check (option string)) "hit" (Some "v") (Server.Cache.find c "k");
   Alcotest.(check (option string)) "miss" None (Server.Cache.find c "nope");
@@ -33,7 +33,7 @@ let test_cache_counts_hits_and_misses () =
   Alcotest.(check (float 1e-9)) "hit rate" 0.5 (Server.Cache.hit_rate st)
 
 let test_cache_oversized_value_not_cached () =
-  let c = Server.Cache.create ~budget_bytes:16 in
+  let c = Server.Cache.create ~size:String.length ~budget_bytes:16 in
   Server.Cache.add c "small" (String.make 8 's');
   (* a value bigger than the whole budget must not flush the cache *)
   Server.Cache.add c "huge" (String.make 64 'h');
@@ -41,7 +41,7 @@ let test_cache_oversized_value_not_cached () =
   Alcotest.(check bool) "small untouched" true (Server.Cache.mem c "small")
 
 let test_cache_replace_updates_bytes () =
-  let c = Server.Cache.create ~budget_bytes:100 in
+  let c = Server.Cache.create ~size:String.length ~budget_bytes:100 in
   Server.Cache.add c "k" (String.make 60 'x');
   Server.Cache.add c "k" (String.make 10 'y');
   let st = Server.Cache.stats c in
@@ -52,7 +52,7 @@ let test_cache_replace_updates_bytes () =
     (Server.Cache.find c "k")
 
 let test_cache_lru_order_is_by_recency () =
-  let c = Server.Cache.create ~budget_bytes:30 in
+  let c = Server.Cache.create ~size:String.length ~budget_bytes:30 in
   List.iter (fun k -> Server.Cache.add c k (String.make 10 k.[0]))
     [ "a"; "b"; "c" ];
   (* recency now c > b > a; touch a, then overflow twice *)
@@ -448,7 +448,9 @@ let test_stats_concurrent_recording () =
               Server.Stats.record_decode_failure stats ~digest:"d" repr err
             done)));
   Support.Pool.shutdown pool;
-  let cache = Server.Cache.stats (Server.Cache.create ~budget_bytes:1) in
+  let cache =
+    Server.Cache.stats (Server.Cache.create ~size:String.length ~budget_bytes:1)
+  in
   let r = Server.Stats.report stats ~cache in
   let total = domains * per_domain in
   Alcotest.(check int) "requests" total r.Server.Stats.requests;
