@@ -24,9 +24,6 @@ let order = 2
 let flag_lit = 0
 let flag_match = 1
 
-let model_bank () =
-  Array.init Range_coder.context_slots (fun _ -> Range_coder.Model.create 256)
-
 (* ---- cost estimation for the optimal parse ---- *)
 
 let log2 = log 2.0
@@ -107,7 +104,7 @@ let encode_raw_bits e ubit v bits =
 let compress s =
   let tokens = tokenize_opt s in
   let flag = Range_coder.Model.create 2 in
-  let lit = model_bank () in
+  let lit = Range_coder.bank 256 in
   let len_m = Range_coder.Model.create (Array.length Deflate.length_base) in
   let dist_m = Range_coder.Model.create (Array.length Deflate.dist_base) in
   let ubit = Range_coder.Model.create 2 in
@@ -120,7 +117,7 @@ let compress s =
       | Lz77.Literal b ->
         Range_coder.encode e flag flag_lit;
         Range_coder.Model.update flag flag_lit;
-        let m = lit.(Range_coder.ctx_hash order history) in
+        let m = lit (Range_coder.ctx_hash order history) in
         Range_coder.encode e m b;
         Range_coder.Model.update m b;
         push_history history b;
@@ -165,7 +162,7 @@ let decompress_exn ?(max_output = default_max_output) z =
     fail Support.Decode_error.Limit
       (Printf.sprintf "declared length %d exceeds cap %d" n max_output);
   let flag = Range_coder.Model.create 2 in
-  let lit = model_bank () in
+  let lit = Range_coder.bank 256 in
   let len_m = Range_coder.Model.create (Array.length Deflate.length_base) in
   let dist_m = Range_coder.Model.create (Array.length Deflate.dist_base) in
   let ubit = Range_coder.Model.create 2 in
@@ -187,7 +184,7 @@ let decompress_exn ?(max_output = default_max_output) z =
     let f = Range_coder.decode d flag in
     Range_coder.Model.update flag f;
     if f = flag_lit then begin
-      let m = lit.(Range_coder.ctx_hash order history) in
+      let m = lit (Range_coder.ctx_hash order history) in
       let b = Range_coder.decode d m in
       Range_coder.Model.update m b;
       Bytes.set buf !out (Char.chr b);

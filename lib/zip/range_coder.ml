@@ -15,12 +15,12 @@ let mask32 = 0xFFFFFFFF
    Storage is uint16 cells in [Bytes], not int arrays: every frequency
    and every Fenwick node is bounded by the total, which the halving
    rule keeps under [max_total] = 65535 at rest, so 16 bits always
-   suffice. That shrinks a 256-symbol model from ~4 KB to ~1 KB — the
-   order-2 compressor keeps 4096 context models live, and at int-array
-   size their working set (~16 MB) turns every O(log n) probe into a
-   cache miss, slower than the scan it replaced. At uint16 size the
-   whole model bank (~4.4 MB) stays cache-resident and the tree wins on
-   both counts (measured in DESIGN.md §10). *)
+   suffice. That shrinks a 256-symbol model from ~4 KB to ~1 KB, so
+   the models an order-2 call touches stay cache-resident even on
+   inputs that reach most of the 4096 context slots; at int-array size
+   that working set (~16 MB) turned every O(log n) probe into a cache
+   miss, slower than the scan it replaced. A call holds only the models
+   it touches ({!bank}); DESIGN.md §10 has the measurements. *)
 module Model = struct
   type t = {
     n : int;
@@ -273,15 +273,28 @@ let ctx_hash order history =
     !h land (context_slots - 1)
   end
 
+(* an eagerly built model stays as [Model.create] left it until its
+   first lookup, so creating it then codes the same bytes; the per-call
+   array keeps banks unshared across the store's encoding domains *)
+let bank n =
+  let slots = Array.make context_slots None in
+  fun slot ->
+    match slots.(slot) with
+    | Some m -> m
+    | None ->
+      let m = Model.create n in
+      slots.(slot) <- Some m;
+      m
+
 let compress_order_n ~order s =
   if order < 0 || order > 3 then invalid_arg "Range_coder.compress_order_n";
-  let models = Array.init (if order = 0 then 1 else context_slots) (fun _ -> Model.create 256) in
+  let models = bank 256 in
   let history = Array.make (max order 1) 0 in
   let e = encoder () in
   String.iter
     (fun c ->
       let b = Char.code c in
-      let m = models.(ctx_hash order history) in
+      let m = models (ctx_hash order history) in
       encode e m b;
       Model.update m b;
       if order > 0 then begin
@@ -316,14 +329,14 @@ let decompress_order_n_exn ?(max_output = default_max_output) ~order z =
   if stored_order <> order then
     fail Support.Decode_error.Bad_value
       (Printf.sprintf "stored order %d, expected %d" stored_order order);
-  let models = Array.init (if order = 0 then 1 else context_slots) (fun _ -> Model.create 256) in
+  let models = bank 256 in
   let history = Array.make (max order 1) 0 in
   let d = decoder (String.sub z !pos (String.length z - !pos)) in
   (* adaptive coding can pack a symbol into under a bit, so [n] cannot be
      bounded by the input length; grow towards it instead of trusting it *)
   let buf = Buffer.create (min n 65536) in
   for _ = 1 to n do
-    let m = models.(ctx_hash order history) in
+    let m = models (ctx_hash order history) in
     let b = decode d m in
     Model.update m b;
     Buffer.add_char buf (Char.chr b);

@@ -43,13 +43,24 @@ module Model : sig
 end
 
 val context_slots : int
-(** Context-model bank size of the order-N compressor (4096). *)
+(** Number of context slots in a {!bank} (4096): the range of
+    {!ctx_hash}, not a count of models built. *)
 
 val ctx_hash : int -> int array -> int
 (** [ctx_hash order history] maps the previous [order] bytes
     ([history.(0)] most recent) to a slot in [0, context_slots);
     order 0 maps to slot 0. Shared with {!Lza} so its literal contexts
     match the order-N compressor's. *)
+
+val bank : int -> int -> Model.t
+(** [bank n] is a fresh bank of [context_slots] models over [n]
+    symbols; applying it to a slot in [0, context_slots) returns that
+    slot's model, created by [Model.create n] on the first lookup. A
+    model created late starts in the state an eagerly built, untouched
+    one would have, so coded bytes do not depend on it; a call pays
+    only for the contexts it uses. Build one bank per encode or decode:
+    banks are not shared. Raises [Invalid_argument] on a slot outside
+    [0, context_slots). *)
 
 type encoder
 

@@ -60,7 +60,12 @@ let builtin_pats () =
    per-chunk (name, length) index ahead of a contiguous data region so
    the demand pager's random access is O(1) instead of a header scan
    (see Wire.Chunked). The chunk payloads themselves are byte-identical
-   to WCH2's; only the framing moved, so the other digests held. *)
+   to WCH2's; only the framing moved, so the other digests held.
+
+   The three wire+range-opt pins were computed while every order-2
+   call still built all 4096 context models up front. All three images
+   take the Lza final stage ([L]), so they hold Zip.Lza's output to that
+   eager bank byte for byte. *)
 let golden =
   [ ("wc", "native", "3c413a67213331d484a919a0aae89001");
     ("wc", "gzip+native", "31686d15c0f7579b4805eb50bdcb0735");
@@ -79,7 +84,10 @@ let golden =
     ("calc", "wire", "b22f213721d50f8bb583365014e95a01");
     ("calc", "wire+range", "eba14c37c4fab7a8a4467e4e74f29735");
     ("calc", "chunked-wire", "7c292ed888435afc070e774df4c4f253");
-    ("calc", "brisc", "864bcab5e9416b18f3802fe1d95b1755") ]
+    ("calc", "brisc", "864bcab5e9416b18f3802fe1d95b1755");
+    ("wc", "wire+range-opt", "23755a6748534d2771052f737b4ead3c");
+    ("qsort", "wire+range-opt", "1f5f88873d7a758737fd151cbe0e973b");
+    ("calc", "wire+range-opt", "bfa78e7c67fe4b2e8cd1145ded49f1e5") ]
 
 let test_golden_pins () =
   List.iter

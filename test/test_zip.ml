@@ -234,7 +234,7 @@ let reaches_dict tokens =
 
 let test_lz77_dict_empty_identical () =
   (* the empty dictionary IS the historical parser, token for token —
-     the property the 18 golden codec digests rest on *)
+     the property the 21 golden codec digests rest on *)
   let s = "abcabcabcabc abcdefgh aaaa" in
   Alcotest.(check bool) "empty dict = no dict" true
     (Zip.Lz77.tokenize ~dict:"" s = Zip.Lz77.tokenize s)
@@ -469,6 +469,52 @@ let prop_range_order2 =
       Zip.Range_coder.decompress_order_n_exn ~order:2
         (Zip.Range_coder.compress_order_n ~order:2 s)
       = s)
+
+(* The order-N encoder as it stood when every call built all
+   [context_slots] models up front, written out from the public API:
+   the oracle that pins [compress_order_n]'s first-lookup bank byte for
+   byte, on inputs that touch a few slots (6 letters) and thousands
+   (all 256 byte values at order 2 or 3). *)
+let eager_compress_order_n ~order s =
+  let module R = Zip.Range_coder in
+  let models = Array.init R.context_slots (fun _ -> R.Model.create 256) in
+  let history = Array.make (max order 1) 0 in
+  let e = R.encoder () in
+  String.iter
+    (fun c ->
+      let b = Char.code c in
+      let m = models.(R.ctx_hash order history) in
+      R.encode e m b;
+      R.Model.update m b;
+      if order > 0 then begin
+        for i = order - 1 downto 1 do
+          history.(i) <- history.(i - 1)
+        done;
+        history.(0) <- b
+      end)
+    s;
+  let hdr = Buffer.create 8 in
+  Support.Util.uleb128 hdr (String.length s);
+  Buffer.add_char hdr (Char.chr order);
+  Buffer.contents hdr ^ R.finish e
+
+let prop_range_eager_bank =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 0 3) bool (oneof [ int_range 0 64; int_range 0 3000 ])
+      >>= fun (order, letters, n) ->
+      map
+        (fun s -> (order, s))
+        (string_size ~gen:(if letters then char_range 'a' 'f' else char) (return n)))
+  in
+  QCheck.Test.make ~name:"range coder order-N matches eager bank" ~count:40
+    (QCheck.make
+       ~print:(fun (order, s) -> Printf.sprintf "order %d, %S" order s)
+       gen)
+    (fun (order, s) ->
+      let z = Zip.Range_coder.compress_order_n ~order s in
+      z = eager_compress_order_n ~order s
+      && Zip.Range_coder.decompress_order_n_exn ~order z = s)
 
 let test_range_order1_beats_order0 () =
   (* a cyclic string is almost perfectly predictable from the previous
@@ -779,6 +825,7 @@ let () =
             test_fenwick_differential_halving;
           qcheck prop_range_order0;
           qcheck prop_range_order2;
+          qcheck prop_range_eager_bank;
           qcheck prop_fenwick_differential;
         ] );
     ]
