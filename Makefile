@@ -36,28 +36,28 @@ perf-gate:
 	@rm -f BENCH_compressor.new.json
 
 # replay the committed update-storm trace with the update channel on
-# and off (mccsim storm) and gate the savings: delta delivery must stay
-# at or under 40% of full-redelivery bytes on the update ops, with zero
+# and off, write BENCH_storm.json, and gate the savings on the two
+# replays (mccsim storm exits 1 on a miss): delta delivery must stay at
+# or under 40% of full-redelivery bytes on the update ops, with zero
 # client-side decode-verification failures. Deterministic (modelled
 # latencies), so it runs in CI without a noise opt-out.
 storm-bench:
-	dune build bin/mccsim.exe bench/perf_gate.exe
+	dune build bin/mccsim.exe
 	dune exec bin/mccsim.exe -- storm traces/update_storm.trace \
 	  --json --out BENCH_storm.json
-	dune exec bench/perf_gate.exe -- --storm BENCH_storm.json
 
 # demand-paged execution sweep: run the profiled corpus under the pager
 # in source order vs profile-guided hot layout across resident budgets
 # (50/25/12% of the decompressed image), write the fault/stall/ratio
-# matrix to BENCH_paging.json, and gate it — chunked bytes must be
-# exactly invariant under reorder, the hot layout must strictly reduce
-# total faults on every point, and the 25%-budget stall overhead stays
-# under its pinned ceiling. Modelled cycles only: deterministic, so it
-# runs unconditionally in `make check`.
+# matrix to BENCH_paging.json, and gate the computed values (the sweep
+# prints its verdict to stderr and exits 1 on a miss) — chunked bytes
+# must be exactly invariant under reorder, the hot layout must strictly
+# reduce total faults on every point, and the 25%-budget stall overhead
+# stays under its pinned ceiling. Modelled cycles only: deterministic,
+# so it runs unconditionally in `make check`.
 paging-bench:
-	dune build bench/main.exe bench/perf_gate.exe
+	dune build bench/main.exe
 	dune exec bench/main.exe -- --paging-json > BENCH_paging.json
-	dune exec bench/perf_gate.exe -- --paging BENCH_paging.json
 
 # regenerate the golden scenario trace corpus (only needed when the
 # generators or the catalog change; the replays of these files are

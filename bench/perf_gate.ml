@@ -3,8 +3,6 @@
    the ratio/throughput frontier for the bit-optimal codecs.
 
    Usage:  perf_gate BASELINE.json FRESH.json
-           perf_gate --storm BENCH_storm.json
-           perf_gate --paging BENCH_paging.json
 
    A stage regresses when its fresh wall time exceeds the baseline by
    more than 25% AND by more than a 2 ms absolute floor — the floor
@@ -20,9 +18,12 @@
    sizes are reported but not gated (their parses are pinned by the
    golden-digest tests instead).
 
-   The input is this repo's own fixed-format bench output, so this is a
-   purpose-built scanner — the container has no JSON library, and the
-   gate must not grow a dependency for a format we print ourselves. *)
+   The baseline is a file an earlier run wrote, so this is the one gate
+   that reads JSON back; the input is this repo's own fixed-format bench
+   output, so a purpose-built scanner reads it rather than a JSON
+   library dependency. The storm and paging floors are checked where
+   their values are computed, in `mccsim storm` and in the bench's
+   paging sweep. *)
 
 let tolerance = 1.25
 let floor_s = 0.002
@@ -135,217 +136,9 @@ let parse (s : string) : row list * size_row list =
   done;
   (List.rev !rows, List.rev !sizes)
 
-(* ---- key scanners over our own fixed-format JSON ---- *)
-
-(* Every numeric value of a key, in document order. The paging report
-   repeats the same keys once per corpus point (and per budget row), so
-   its gates pair up src/hot arrays positionally. *)
-let scan_all (s : string) key =
-  let pat = "\"" ^ key ^ "\":" in
-  let n = String.length s and pn = String.length pat in
-  let acc = ref [] in
-  let i = ref 0 in
-  while !i + pn <= n do
-    if String.sub s !i pn = pat then begin
-      let j = ref (!i + pn) in
-      while !j < n && s.[!j] = ' ' do incr j done;
-      let k = ref !j in
-      let is_num c = (c >= '0' && c <= '9') || c = '-' || c = '.' || c = 'e' in
-      while !k < n && is_num s.[!k] do incr k done;
-      if !k > !j then begin
-        acc := float_of_string (String.sub s !j (!k - !j)) :: !acc;
-        i := !k
-      end
-      else incr i
-    end
-    else incr i
-  done;
-  List.rev !acc
-
-(* Last numeric value of a key. *)
-let scan_number s key =
-  match List.rev (scan_all s key) with v :: _ -> Some v | [] -> None
-
-(* ---- --storm mode: the update channel must actually save bytes ---- *)
-
-(* mccsim storm replays the committed update-storm trace with the
-   update channel on and off; both replays are deterministic, so the
-   savings ratio is a property of the codecs and the scenario, not the
-   runner. The gate holds the tentpole's claim: delta delivery costs at
-   most 40% of full redelivery on the update ops, every serve
-   decode-verified client-side. *)
-let storm_max_ratio = 0.40
-
-let storm_gate path =
-  let s = read_file path in
-  let rec has i =
-    if i + 11 > String.length s then false
-    else if String.sub s i 11 = "mcc-storm 1" then true
-    else has (i + 1)
-  in
-  if not (has 0) then begin
-    Printf.eprintf "perf-gate: %s is not an mcc-storm 1 report\n" path;
-    exit 2
-  end;
-  let get key =
-    match scan_number s key with
-    | Some v -> v
-    | None ->
-      Printf.eprintf "perf-gate: no \"%s\" in %s\n" key path;
-      exit 2
-  in
-  let update_bytes = get "update_bytes" in
-  let full_bytes = get "full_update_bytes" in
-  let corrupt = get "storm_corrupt" in
-  let ops = get "update_ops" in
-  let failures = ref 0 in
-  let check cond msg =
-    Printf.printf "  [%s] %s\n" (if cond then "ok" else "FAIL") msg;
-    if not cond then incr failures
-  in
-  Printf.printf "update-storm gate on %s:\n" path;
-  check (ops > 0.0) (Printf.sprintf "%.0f update ops replayed" ops);
-  check
-    (update_bytes <= full_bytes *. storm_max_ratio)
-    (Printf.sprintf "update bytes %.0f <= %.0f x %.2f (%.1f%% of full)"
-       update_bytes full_bytes storm_max_ratio
-       (if full_bytes > 0.0 then update_bytes /. full_bytes *. 100.0 else 0.0));
-  check (corrupt = 0.0)
-    (Printf.sprintf
-       "%.0f corrupt update serves (every serve decode-verified against \
-        its context)"
-       corrupt);
-  if !failures > 0 then begin
-    Printf.printf "\nperf-gate: FAIL — the update channel missed its floor\n";
-    exit 1
-  end
-  else
-    print_endline
-      "\nperf-gate: OK — delta delivery holds its floor over full redelivery"
-
-(* ---- --paging mode: demand-paged execution + hot-layout gate over
-   BENCH_paging.json ---- *)
-
-(* Ceilings pinned from the committed BENCH_paging.json (gen-80/120/300,
-   repeat 8, budgets 50/25/12%) with headroom for corpus churn: the
-   worst measured hot overhead at the 25% budget is 4.08x, the worst
-   per-row hot fault count 337. Ratio tolerances: the chunked container
-   is order-invariant by construction so it gets exact equality;
-   BRISC's global dictionary training and the flat wire's match finder
-   are order-sensitive, so reordering may cost a hair — bounded at
-   +0.2% / +0.3% (measured worst: +0.093% / +0.054%). *)
-let paging_max_overhead_25 = 5.5
-let paging_max_faults_row = 450.0
-let paging_brisc_ratio = 1.002
-let paging_wire_ratio = 1.003
-
-let paging_gate path =
-  let s = read_file path in
-  let get key =
-    match scan_all s key with
-    | [] ->
-      Printf.eprintf "perf-gate: no \"%s\" in %s\n" key path;
-      exit 2
-    | vs -> vs
-  in
-  let pair key_src key_hot =
-    let a = get key_src and b = get key_hot in
-    if List.length a <> List.length b then begin
-      Printf.eprintf "perf-gate: %s/%s count mismatch in %s\n" key_src
-        key_hot path;
-      exit 2
-    end;
-    List.combine a b
-  in
-  let failures = ref 0 in
-  let check cond msg =
-    Printf.printf "  [%s] %s\n" (if cond then "ok" else "FAIL") msg;
-    if not cond then incr failures
-  in
-  Printf.printf "paging gate on %s:\n" path;
-  List.iteri
-    (fun i (src, hot) ->
-      check (hot = src)
-        (Printf.sprintf
-           "point %d: chunked bytes invariant under reorder (%.0f = %.0f)" i
-           hot src))
-    (pair "chunked_bytes_src" "chunked_bytes_hot");
-  List.iteri
-    (fun i (src, hot) ->
-      check
-        (hot <= src *. paging_brisc_ratio)
-        (Printf.sprintf "point %d: brisc bytes %.0f <= %.0f x %.3f" i hot src
-           paging_brisc_ratio))
-    (pair "brisc_bytes_src" "brisc_bytes_hot");
-  List.iteri
-    (fun i (src, hot) ->
-      check
-        (hot <= src *. paging_wire_ratio)
-        (Printf.sprintf "point %d: wire bytes %.0f <= %.0f x %.3f" i hot src
-           paging_wire_ratio))
-    (pair "wire_bytes_src" "wire_bytes_hot");
-  List.iteri
-    (fun i (src, hot) ->
-      check (hot < src)
-        (Printf.sprintf "point %d: icache misses %.0f < %.0f" i hot src))
-    (pair "icache_misses_src" "icache_misses_hot");
-  (* per budget row: the hot layout may never fault more than source
-     order, and stays under the absolute ceiling *)
-  List.iteri
-    (fun i (src, hot) ->
-      check (hot <= src)
-        (Printf.sprintf "row %d: faults hot %.0f <= src %.0f" i hot src);
-      check
-        (hot <= paging_max_faults_row)
-        (Printf.sprintf "row %d: faults hot %.0f <= ceiling %.0f" i hot
-           paging_max_faults_row))
-    (pair "faults_src" "faults_hot");
-  List.iteri
-    (fun i (src, hot) ->
-      check (hot <= src)
-        (Printf.sprintf "row %d: overhead hot %.4f <= src %.4f" i hot src))
-    (pair "overhead_src" "overhead_hot");
-  (* per point: summed across budgets the reduction must be strict —
-     this is the acceptance criterion that the layout actually works *)
-  List.iteri
-    (fun i (src, hot) ->
-      check (hot < src)
-        (Printf.sprintf
-           "point %d: total faults strictly reduced (hot %.0f < src %.0f)" i
-           hot src))
-    (pair "faults_total_src" "faults_total_hot");
-  (* the headline budget: at 25% residency the hot layout holds its
-     stall overhead under the pinned ceiling. Budget rows come in
-     50/25/12 order, so the 25% rows are every 3n+1'th occurrence. *)
-  List.iteri
-    (fun i hot ->
-      if i mod 3 = 1 then
-        check
-          (hot <= paging_max_overhead_25)
-          (Printf.sprintf "point %d: overhead at 25%% budget %.4f <= %.2f"
-             (i / 3) hot paging_max_overhead_25))
-    (get "overhead_hot");
-  if !failures > 0 then begin
-    Printf.printf "\nperf-gate: FAIL — %d paging floor(s) missed\n" !failures;
-    exit 1
-  end
-  else
-    print_endline
-      "\nperf-gate: OK — paged execution bounded, hot layout pays for itself"
-
 let () =
-  if Array.length Sys.argv = 3 && Sys.argv.(1) = "--storm" then begin
-    storm_gate Sys.argv.(2);
-    exit 0
-  end;
-  if Array.length Sys.argv = 3 && Sys.argv.(1) = "--paging" then begin
-    paging_gate Sys.argv.(2);
-    exit 0
-  end;
   if Array.length Sys.argv <> 3 then begin
-    prerr_endline
-      "usage: perf_gate BASELINE.json FRESH.json | perf_gate --storm \
-       BENCH_storm.json | perf_gate --paging BENCH_paging.json";
+    prerr_endline "usage: perf_gate BASELINE.json FRESH.json";
     exit 2
   end;
   let base, base_sizes = parse (read_file Sys.argv.(1)) in

@@ -8,7 +8,8 @@
    [record] synthesizes a trace from a named generator. [replay]
    replays a trace deterministically (in-process, or --daemon for the
    loopback TCP path). [ab] replays the same trace under two cache
-   budgets and reports the diff. *)
+   budgets and reports the diff. [storm] replays an update-storm trace
+   with the update channel on and off and holds the channel's floor. *)
 
 let fail fmt = Printf.ksprintf failwith fmt
 
@@ -91,8 +92,14 @@ let ab file a_budget b_budget json out =
 
 (* Replay the same trace twice — update channel on (clients advertise
    held digests, unlocking shared-dictionary and delta serves) and off
-   (every upgrade is a full redelivery) — and report the wire savings
-   on the update ops. perf_gate --storm holds a floor on this report. *)
+   (every upgrade is a full redelivery) — report the wire savings on
+   the update ops, and hold the channel's floor on the two reports:
+   both replays are deterministic, so the savings ratio is a property
+   of the codecs and the scenario, not the runner. Delta delivery must
+   cost at most 40% of full redelivery on the update ops, every serve
+   decode-verified client-side; a miss exits 1. *)
+let storm_max_ratio = 0.40
+
 let storm file json out =
   let trace = load_trace file in
   let side label contexted =
@@ -105,6 +112,7 @@ let storm file json out =
   let ub = d.Sim.Replay.r_update.Sim.Replay.bytes in
   let fb = f.Sim.Replay.r_update.Sim.Replay.bytes in
   let corrupt = d.Sim.Replay.r_update_corrupt + f.Sim.Replay.r_update_corrupt in
+  let ops = d.Sim.Replay.r_update.Sim.Replay.ops in
   let pct = if fb = 0 then 0. else float_of_int ub /. float_of_int fb *. 100. in
   let text =
     String.concat "\n"
@@ -112,8 +120,7 @@ let storm file json out =
         Printf.sprintf "mcc-storm 1  scenario=%s catalog=%s seed=%Ld events=%d"
           d.Sim.Replay.r_scenario d.Sim.Replay.r_catalog d.Sim.Replay.r_seed
           d.Sim.Replay.r_events;
-        Printf.sprintf "update ops           %d"
-          d.Sim.Replay.r_update.Sim.Replay.ops;
+        Printf.sprintf "update ops           %d" ops;
         Printf.sprintf "update bytes (delta) %d" ub;
         Printf.sprintf "update bytes (full)  %d" fb;
         Printf.sprintf "delta vs full        %.1f%%" pct;
@@ -131,18 +138,38 @@ let storm file json out =
         Printf.sprintf "  \"scenario\": \"%s\"," d.Sim.Replay.r_scenario;
         Printf.sprintf "  \"delta\":\n%s," (Sim.Ab.indent (Sim.Replay.to_json d));
         Printf.sprintf "  \"full\":\n%s," (Sim.Ab.indent (Sim.Replay.to_json f));
-        (* flat gate block: perf_gate --storm scans these by key, last
-           occurrence wins, so they come after the nested reports *)
+        (* the gate's inputs, flat, after the nested reports *)
         Printf.sprintf
           "  \"gate\": {\"update_bytes\": %d, \"full_update_bytes\": %d, \
            \"storm_corrupt\": %d, \"update_ops\": %d}"
-          ub fb corrupt d.Sim.Replay.r_update.Sim.Replay.ops;
+          ub fb corrupt ops;
         "}";
       ]
   in
   write_out out (if json then json_s ^ "\n" else text);
   if out <> None then print_string text;
-  0
+  let oc = if json && out = None then stderr else stdout in
+  let failures = ref 0 in
+  let check cond msg =
+    Printf.fprintf oc "  [%s] %s\n" (if cond then "ok" else "FAIL") msg;
+    if not cond then incr failures
+  in
+  Printf.fprintf oc "update-storm gate:\n";
+  check (ops > 0) (Printf.sprintf "%d update ops replayed" ops);
+  check
+    (float_of_int ub <= float_of_int fb *. storm_max_ratio)
+    (Printf.sprintf "update bytes %d <= %d x %.2f (%.1f%% of full)" ub fb
+       storm_max_ratio pct);
+  check (corrupt = 0)
+    (Printf.sprintf
+       "%d corrupt update serves (every serve decode-verified against its \
+        context)"
+       corrupt);
+  let ok = !failures = 0 in
+  Printf.fprintf oc "\nstorm gate: %s\n"
+    (if ok then "OK — delta delivery holds its floor over full redelivery"
+     else "FAIL — the update channel missed its floor");
+  if ok then 0 else 1
 
 open Cmdliner
 
@@ -227,7 +254,9 @@ let storm_cmd =
   Cmd.v
     (Cmd.info "storm"
        ~doc:"Replay an update-storm trace with the update channel on and \
-             off and report delta bytes-on-wire vs full redelivery")
+             off, report delta bytes-on-wire vs full redelivery, and exit 1 \
+             unless update ops ran, delta bytes are at most 40% of full and \
+             no serve was corrupt")
     Term.(const storm $ trace_file $ json $ out)
 
 let cmd =

@@ -6,14 +6,16 @@
 
 let do_compress file out stats no_mtf no_split =
   let ir = Cc.Lower.compile (Cli.read_file file) in
-  let z = Wire.compress ~use_mtf:(not no_mtf) ~split_streams:(not no_split) ir in
+  let use_mtf = not no_mtf and split_streams = not no_split in
+  let z = Wire.compress ~use_mtf ~split_streams ir in
   let out = match out with Some o -> o | None -> file ^ ".wire" in
   Cli.write_file out z;
   Printf.printf "%s -> %s (%d bytes)\n" file out (String.length z);
   if stats then begin
-    let s = Wire.stats ir in
+    let s = Wire.stats (Wire.patternize ~use_mtf ~split_streams ir) in
     Printf.printf "  statements: %d (%d distinct patterns)\n" s.Wire.pattern_count
       s.Wire.distinct_patterns;
+    Printf.printf "  header %d B\n" s.Wire.header_bytes;
     Printf.printf "  pattern stream %d B + novel table %d B\n"
       s.Wire.pattern_stream_bytes s.Wire.novel_table_bytes;
     List.iter

@@ -13,8 +13,8 @@
 
    Everything is modelled in cycles (1 VM step = 1 cycle, faults charge
    a fixed trap cost plus a per-compressed-byte decompression cost), so
-   runs are deterministic and perf_gate --paging can hold ceilings on
-   the numbers without a noise opt-out. Function order in the image
+   runs are deterministic and the bench's paging sweep can hold
+   ceilings on the numbers without a noise opt-out. Function order in the image
    decides which functions share a page — that is the lever
    Vm.Layout.reorder_ir turns to cut faults. *)
 

@@ -7,8 +7,9 @@
     faulting page's chunks, and LRU eviction holds the decompressed
     resident set under a hard byte budget. Fault counts, modelled
     decompression stall cycles and the resident high-water mark come
-    back with the run — all deterministic (no wall clocks), so
-    [perf_gate --paging] holds ceilings on them in CI.
+    back with the run — all deterministic (no wall clocks), so the
+    bench's paging sweep ([make paging-bench]) holds ceilings on them
+    in CI.
 
     Function order in the image decides page sharing; that is the lever
     {!Vm.Layout.reorder_ir} turns to cut faults (measured in

@@ -7,8 +7,8 @@
     execution engines running against a pager report fault counts,
     stall cycles and resident-set high-water marks deterministically:
     the accounting involves no wall clocks and is byte-identical across
-    runs, which is what lets [perf_gate --paging] hold ceilings on it
-    in CI without a noise opt-out.
+    runs, which is what lets the bench's paging sweep ([make
+    paging-bench]) hold ceilings on it in CI without a noise opt-out.
 
     The eviction order is strict LRU with a unique logical clock per
     touch, so the victim sequence is a pure function of the touch

@@ -111,84 +111,103 @@ let indices_of_ids ~use_mtf ids =
     out
   end
 
-let inverse_mtf_or_first ~use_mtf (e : 'a Zip.Mtf.encoded) =
-  if use_mtf then Zip.Mtf.decode_exn e
-  else begin
-    let fail ~pos msg =
-      Support.Decode_error.fail ~decoder:"wire"
-        ~kind:Support.Decode_error.Bad_value ~pos msg
-    in
-    let table = ref [||] in
-    let pending = ref e.Zip.Mtf.novel in
-    List.mapi
-      (fun pos i ->
-        if i = 0 then begin
-          match !pending with
-          | [] -> fail ~pos "novel list exhausted"
-          | x :: rest ->
-            pending := rest;
-            table := Array.append !table [| x |];
-            x
-        end
-        else if i < 0 || i > Array.length !table then
-          fail ~pos (Printf.sprintf "index %d exceeds table of %d" i
-                       (Array.length !table))
-        else !table.(i - 1))
-      e.Zip.Mtf.indices
-  end
+(* Inverse of [indices_of_ids] plus the novel-table lookup: the
+   stream's symbols. Total: an index past the table, or one that
+   introduces more novel symbols than [novel] holds, is a typed error
+   at its element position. *)
+let symbols_of_indices ~use_mtf indices novel =
+  let max_novel = Array.length novel in
+  let ids =
+    if use_mtf then Zip.Mtf.decode_ids ~max_novel indices
+    else begin
+      let fail ~pos msg =
+        Support.Decode_error.fail ~decoder:"wire"
+          ~kind:Support.Decode_error.Bad_value ~pos msg
+      in
+      let seen = ref 0 in
+      Array.init (Array.length indices) (fun pos ->
+          let i = indices.(pos) in
+          if i = 0 then begin
+            if !seen >= max_novel then fail ~pos "novel list exhausted";
+            incr seen;
+            !seen - 1
+          end
+          else if i < 0 || i > !seen then
+            fail ~pos
+              (Printf.sprintf "index %d exceeds table of %d" i !seen)
+          else i - 1)
+    end
+  in
+  Array.map (fun id -> novel.(id)) ids
 
 let encode_indices buf indices =
   let alphabet = Array.fold_left max 0 indices + 1 in
-  let bytes = Zip.Huffman.encode_all_arr indices ~alphabet in
+  let bytes = Zip.Huffman.encode_all indices ~alphabet in
   Support.Frame.put_bytes buf bytes
 
 let decode_indices r =
   let raw = Support.Frame.str ~what:"bundle" r in
   Zip.Huffman.decode_all_exn (Bytes.of_string raw)
 
-(* Each stream (the pattern stream, each literal stream) is encoded
-   into its own byte segment by a pure function of [pz] alone, so the
-   segments can be produced on a domain pool; concatenating them in the
-   fixed wire order keeps the output byte-identical to a sequential
-   run. *)
-let pattern_segment (pz : patternized) : string =
-  let use_mtf = pz.use_mtf in
-  let buf = Buffer.create 1024 in
-  let ids, novel =
-    Zip.Mtf.intern_hashed ~hash:Ir.Pattern.hash ~eq:Ir.Pattern.equal
-      pz.pattern_seq
-  in
-  encode_indices buf (indices_of_ids ~use_mtf ids);
-  Support.Util.uleb128 buf (List.length novel);
-  List.iter
-    (fun sp -> Support.Frame.put_str buf (Ir.Pattern.encode sp))
-    novel;
-  Buffer.contents buf
+(* One stream's part of the bundle: whatever [buf] already holds (a
+   literal stream's class key), the Huffman-coded indices, then the
+   novel table (its count, then each symbol by [put] in first-occurrence
+   order). [index_bytes] is the length through the indices and
+   [distinct] the novel count, for {!stats}. *)
+type segment = { bytes : string; index_bytes : int; distinct : int }
 
-let lit_segment ~use_mtf (key, seq) : string =
+let stream_segment ~use_mtf ~hash ~eq ~put buf seq =
+  let ids, novel = Zip.Mtf.intern_hashed ~hash ~eq seq in
+  encode_indices buf (indices_of_ids ~use_mtf ids);
+  let index_bytes = Buffer.length buf in
+  let distinct = List.length novel in
+  Support.Util.uleb128 buf distinct;
+  List.iter (put buf) novel;
+  { bytes = Buffer.contents buf; index_bytes; distinct }
+
+let pattern_segment (pz : patternized) =
+  stream_segment ~use_mtf:pz.use_mtf ~hash:Ir.Pattern.hash
+    ~eq:Ir.Pattern.equal
+    ~put:(fun buf sp -> Support.Frame.put_str buf (Ir.Pattern.encode sp))
+    (Buffer.create 1024) pz.pattern_seq
+
+let lit_segment ~use_mtf (key, seq) =
   let buf = Buffer.create 256 in
   Support.Frame.put_str buf key;
-  let ids, novel = Zip.Mtf.intern_hashed ~hash:Hashtbl.hash ~eq:( = ) seq in
-  encode_indices buf (indices_of_ids ~use_mtf ids);
-  Support.Util.uleb128 buf (List.length novel);
-  List.iter
-    (fun lit ->
-      match lit with
+  stream_segment ~use_mtf ~hash:Hashtbl.hash ~eq:( = )
+    ~put:(fun buf -> function
       | Ir.Pattern.Lint v ->
         Buffer.add_char buf '\000';
         Support.Util.sleb_of_int buf v
       | Ir.Pattern.Lsym s ->
         Buffer.add_char buf '\001';
         Support.Frame.put_str buf s)
-    novel;
-  Buffer.contents buf
+    buf seq
 
-let bundle_of_patternized ?pool (pz : patternized) : string =
+(* The stream segments, each a pure function of [pz] alone: the pattern
+   stream, then the literal streams in first-use order. With [pool]
+   they are coded concurrently; [Pool.run_list] joins them in input
+   order, so the bundle never depends on scheduling. *)
+let segments ?pool (pz : patternized) =
+  let jobs =
+    (fun () -> pattern_segment pz)
+    :: List.map (fun s () -> lit_segment ~use_mtf:pz.use_mtf s) pz.lit_streams
+  in
+  let segs =
+    match pool with
+    | Some pool when List.length jobs > 1 -> Support.Pool.run_list pool jobs
+    | _ -> List.map (fun f -> f ()) jobs
+  in
+  match segs with
+  | pat :: lits -> (pat, lits)
+  | [] -> assert false
+
+(* magic, flags, globals and function headers: the bundle before its
+   streams *)
+let put_header buf (pz : patternized) =
   let p = pz.prog in
-  let use_mtf = pz.use_mtf in
-  let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
-  Buffer.add_char buf (if use_mtf then '\001' else '\000');
+  Buffer.add_char buf (if pz.use_mtf then '\001' else '\000');
   Buffer.add_char buf (if pz.split then '\001' else '\000');
   (* globals *)
   Support.Util.uleb128 buf (List.length p.Ir.Tree.globals);
@@ -215,26 +234,18 @@ let bundle_of_patternized ?pool (pz : patternized) : string =
         f.Ir.Tree.formals;
       Support.Util.uleb128 buf f.Ir.Tree.frame_size;
       Support.Util.uleb128 buf (List.length f.Ir.Tree.body))
-    p.Ir.Tree.funcs;
-  (* pattern stream, then literal streams in first-use order; the
-     segments are independent, so fan them out when a pool is given
-     and join in input order (byte-identical either way) *)
-  let jobs =
-    (fun () -> pattern_segment pz)
-    :: List.map (fun s () -> lit_segment ~use_mtf s) pz.lit_streams
-  in
-  let segments =
-    match pool with
-    | Some pool when List.length jobs > 1 -> Support.Pool.run_list pool jobs
-    | _ -> List.map (fun f -> f ()) jobs
-  in
-  (match segments with
-  | pat :: lits ->
-    Buffer.add_string buf pat;
-    Support.Util.uleb128 buf (List.length pz.lit_streams);
-    List.iter (Buffer.add_string buf) lits
-  | [] -> assert false);
+    p.Ir.Tree.funcs
+
+(* header, pattern segment, literal-stream count, literal segments *)
+let assemble pz (pat, lits) =
+  let buf = Buffer.create 4096 in
+  put_header buf pz;
+  Buffer.add_string buf pat.bytes;
+  Support.Util.uleb128 buf (List.length lits);
+  List.iter (fun s -> Buffer.add_string buf s.bytes) lits;
   Buffer.contents buf
+
+let bundle_of_patternized ?pool pz = assemble pz (segments ?pool pz)
 
 (* ---- stage 3: the final entropy stage, tagged ---- *)
 
@@ -358,7 +369,7 @@ let program_of_bundle_exn bundle : Ir.Tree.program =
   let n_novel = get_uleb () in
   check_count n_novel "novel pattern";
   let novel_pats =
-    List.init n_novel (fun _ ->
+    Array.init n_novel (fun _ ->
         let s = get_str () in
         let pos = ref 0 in
         let sp = Ir.Pattern.decode s pos in
@@ -366,14 +377,11 @@ let program_of_bundle_exn bundle : Ir.Tree.program =
           wfail r Support.Decode_error.Inconsistent "trailing pattern bytes";
         sp)
   in
-  let pattern_seq =
-    inverse_mtf_or_first ~use_mtf
-      { Zip.Mtf.indices = pat_indices; novel = novel_pats }
-  in
+  let pattern_seq = symbols_of_indices ~use_mtf pat_indices novel_pats in
   (* literal streams *)
   let nstreams = get_uleb () in
   check_count nstreams "literal stream";
-  let lit_streams : (string, Ir.Pattern.lit list ref) Hashtbl.t =
+  let lit_streams : (string, Ir.Pattern.lit array * int ref) Hashtbl.t =
     Hashtbl.create 16
   in
   for _ = 1 to nstreams do
@@ -382,38 +390,35 @@ let program_of_bundle_exn bundle : Ir.Tree.program =
     let n_novel = get_uleb () in
     check_count n_novel "novel literal";
     let novel =
-      List.init n_novel (fun _ ->
+      Array.init n_novel (fun _ ->
           match get_byte () with
           | '\000' -> Ir.Pattern.Lint (Support.Frame.sleb r)
           | '\001' -> Ir.Pattern.Lsym (get_str ())
           | _ -> wfail r Support.Decode_error.Bad_value "bad literal tag")
     in
-    let seq = inverse_mtf_or_first ~use_mtf { Zip.Mtf.indices; novel } in
-    Hashtbl.add lit_streams key (ref seq)
+    Hashtbl.add lit_streams key
+      (symbols_of_indices ~use_mtf indices novel, ref 0)
   done;
   let next_lit cls =
     let key = class_key ~split:split_streams cls in
     match Hashtbl.find_opt lit_streams key with
-    | Some lr -> (
-      match !lr with
-      | [] ->
-        wfail r Support.Decode_error.Inconsistent
-          ("literal stream exhausted: " ^ key)
-      | v :: rest ->
-        lr := rest;
-        v)
+    | Some (seq, next) when !next < Array.length seq ->
+      incr next;
+      seq.(!next - 1)
+    | Some _ ->
+      wfail r Support.Decode_error.Inconsistent
+        ("literal stream exhausted: " ^ key)
     | None ->
       wfail r Support.Decode_error.Inconsistent
         ("missing literal stream: " ^ key)
   in
   (* reassemble functions *)
-  let remaining_patterns = ref pattern_seq in
+  let next_pat = ref 0 in
   let take_pattern () =
-    match !remaining_patterns with
-    | [] -> wfail r Support.Decode_error.Inconsistent "pattern stream exhausted"
-    | sp :: rest ->
-      remaining_patterns := rest;
-      sp
+    if !next_pat >= Array.length pattern_seq then
+      wfail r Support.Decode_error.Inconsistent "pattern stream exhausted";
+    incr next_pat;
+    pattern_seq.(!next_pat - 1)
   in
   let funcs =
     List.map
@@ -428,7 +433,7 @@ let program_of_bundle_exn bundle : Ir.Tree.program =
         { Ir.Tree.fname; formals; frame_size; body })
       headers
   in
-  if !remaining_patterns <> [] then
+  if !next_pat <> Array.length pattern_seq then
     wfail r Support.Decode_error.Inconsistent "leftover patterns";
   { Ir.Tree.globals; funcs }
 
@@ -445,6 +450,7 @@ let decompress ?dict z =
 type stats = {
   wire_bytes : int;
   bundle_bytes : int;
+  header_bytes : int;
   pattern_count : int;
   distinct_patterns : int;
   pattern_stream_bytes : int;
@@ -452,50 +458,26 @@ type stats = {
   literal_stream_bytes : (string * int) list;
 }
 
-let stats (p : Ir.Tree.program) =
-  (* replicate the pipeline, measuring as we go *)
-  let pz = patternize p in
-  let enc = Zip.Mtf.encode ~eq:Ir.Pattern.equal pz.pattern_seq in
-  let pat_stream =
-    Zip.Huffman.encode_all enc.Zip.Mtf.indices
-      ~alphabet:(List.fold_left max 0 enc.Zip.Mtf.indices + 1)
-  in
-  let novel_bytes =
-    List.fold_left
-      (fun a sp -> a + String.length (Ir.Pattern.encode sp) + 1)
-      0 enc.Zip.Mtf.novel
-  in
-  let lit_bytes =
-    List.map
-      (fun (key, seq) ->
-        let enc = Zip.Mtf.encode ~eq:( = ) seq in
-        let stream =
-          Zip.Huffman.encode_all enc.Zip.Mtf.indices
-            ~alphabet:(List.fold_left max 0 enc.Zip.Mtf.indices + 1)
-        in
-        let novel =
-          List.fold_left
-            (fun a lit ->
-              a
-              + match lit with
-                | Ir.Pattern.Lint v ->
-                  let b = Buffer.create 8 in
-                  Support.Util.sleb_of_int b v;
-                  1 + Buffer.length b
-                | Ir.Pattern.Lsym s -> 2 + String.length s)
-            0 enc.Zip.Mtf.novel
-        in
-        (key, Bytes.length stream + novel))
-      pz.lit_streams
-  in
-  let bundle = bundle_of_patternized pz in
-  let z = Support.Frame.seal (apply_final_stage Deflate bundle) in
+(* sizes of what [bundle_of_patternized] and [compress] write for [pz]:
+   the segments themselves, and a header measured by the writer that
+   emits it *)
+let stats (pz : patternized) =
+  let ((pat, lits) as segs) = segments pz in
+  let bundle = assemble pz segs in
+  let header = Buffer.create 256 in
+  put_header header pz;
+  Support.Util.uleb128 header (List.length lits);
   {
-    wire_bytes = String.length z;
+    wire_bytes =
+      String.length (Support.Frame.seal (apply_final_stage Deflate bundle));
     bundle_bytes = String.length bundle;
+    header_bytes = Buffer.length header;
     pattern_count = List.length pz.pattern_seq;
-    distinct_patterns = List.length enc.Zip.Mtf.novel;
-    pattern_stream_bytes = Bytes.length pat_stream;
-    novel_table_bytes = novel_bytes;
-    literal_stream_bytes = lit_bytes;
+    distinct_patterns = pat.distinct;
+    pattern_stream_bytes = pat.index_bytes;
+    novel_table_bytes = String.length pat.bytes - pat.index_bytes;
+    literal_stream_bytes =
+      List.map2
+        (fun (key, _) s -> (key, String.length s.bytes))
+        pz.lit_streams lits;
   }

@@ -95,15 +95,21 @@ val program_of_bundle_exn : string -> Ir.Tree.program
 (** Inverse of {!bundle_of_patternized}∘{!patternize}. *)
 
 type stats = {
-  wire_bytes : int;           (** final compressed size *)
-  bundle_bytes : int;         (** before the final deflate stage *)
+  wire_bytes : int;           (** sealed image, [Deflate] final stage *)
+  bundle_bytes : int;         (** before it: header + the segments below *)
+  header_bytes : int;
+      (** magic, flags, globals, function headers, literal-stream count *)
   pattern_count : int;        (** statements in the program *)
   distinct_patterns : int;
   pattern_stream_bytes : int; (** Huffman-coded pattern indices *)
-  novel_table_bytes : int;    (** first-occurrence pattern encodings *)
+  novel_table_bytes : int;    (** novel-pattern count and encodings *)
   literal_stream_bytes : (string * int) list;
-      (** per literal class: Huffman-coded MTF indices + novel values *)
+      (** per literal segment: class key, Huffman-coded indices and novel
+          values *)
 }
 
-val stats : Ir.Tree.program -> stats
-(** Compresses and reports where the bytes went. *)
+val stats : patternized -> stats
+(** Where the bytes of a patternized program's encoding go, measured on
+    the segments {!bundle_of_patternized} writes for it, so they describe
+    the ablation flags it was patternized under: [wire_bytes] is the
+    length of {!compress} with the same flags. *)

@@ -237,9 +237,9 @@ let cost_bits { lengths } freqs =
     freqs;
   !total
 
-(* --- convenience whole-stream API -------------------------------------- *)
+(* --- whole-stream API ---------------------------------------------------- *)
 
-let encode_all_arr syms ~alphabet =
+let encode_all syms ~alphabet =
   let freqs = Array.make alphabet 0 in
   Array.iter (fun s -> freqs.(s) <- freqs.(s) + 1) syms;
   let code = lengths_of_freqs freqs in
@@ -250,9 +250,7 @@ let encode_all_arr syms ~alphabet =
   Array.iter (fun s -> encode_symbol e w s) syms;
   Support.Bitio.Writer.contents w
 
-let encode_all syms ~alphabet = encode_all_arr (Array.of_list syms) ~alphabet
-
-let decode_all_arr_exn bytes =
+let decode_all_exn bytes =
   let r = Support.Bitio.Reader.of_bytes bytes in
   if Support.Bitio.Reader.bits_remaining r < 32 then
     hfail r Support.Decode_error.Truncated "missing symbol count";
@@ -272,8 +270,6 @@ let decode_all_arr_exn bytes =
     done;
     out
   end
-
-let decode_all_exn bytes = Array.to_list (decode_all_arr_exn bytes)
 
 let decode_all bytes =
   Support.Decode_error.guard ~decoder:"huffman" (fun () -> decode_all_exn bytes)

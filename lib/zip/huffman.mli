@@ -45,9 +45,9 @@ val decode_symbol_slow : decoder -> Support.Bitio.Reader.t -> int
     differential tests against the table-driven {!decode_symbol}. *)
 
 val write_lengths : Support.Bitio.Writer.t -> code -> unit
-(** Serialize the length table (alphabet size as a varint-ish field, then
-    4 bits... actually 5 bits per length). Enough for the decoder to
-    reconstruct the canonical code. *)
+(** Serialize the length table: the alphabet size in 16 bits, then 5
+    bits per length. Enough for the decoder to reconstruct the
+    canonical code. *)
 
 val read_lengths : Support.Bitio.Reader.t -> code
 
@@ -55,21 +55,16 @@ val cost_bits : code -> int array -> int
 (** [cost_bits code freqs] is the total encoded size in bits of a stream
     with the given per-symbol frequencies. *)
 
-val encode_all : int list -> alphabet:int -> Bytes.t
-(** Convenience: frequency-count the input, build a code, serialize
-    lengths + symbols into one self-contained byte string. *)
+val encode_all : int array -> alphabet:int -> Bytes.t
+(** Frequency-count the input, build a code, and serialize the symbol
+    count (32 bits), the length table and the symbols into one
+    self-contained byte string. Symbols must lie in [0, alphabet). *)
 
-val encode_all_arr : int array -> alphabet:int -> Bytes.t
-(** As {!encode_all} over an int array — byte-identical output, no
-    intermediate list. The hot path for the wire format's streams. *)
-
-val decode_all : Bytes.t -> (int list, Support.Decode_error.t) result
+val decode_all : Bytes.t -> (int array, Support.Decode_error.t) result
 (** Total inverse of {!encode_all}: symbol counts and length tables are
     validated against the remaining input before any allocation. *)
 
-val decode_all_exn : Bytes.t -> int list
+val decode_all_exn : Bytes.t -> int array
 (** As {!decode_all} but raises {!Support.Decode_error.Fail}; for
-    trusted inputs. *)
-
-val decode_all_arr_exn : Bytes.t -> int array
-(** As {!decode_all_exn} into an int array. *)
+    trusted inputs and decoders that already run under
+    {!Support.Decode_error.guard}. *)

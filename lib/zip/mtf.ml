@@ -3,14 +3,12 @@
    Hot-path engineering (DESIGN.md §10): the table is a flat int array
    of dense symbol ids with the front at index 0. A lookup scans ints
    (cache-friendly, no closure calls); a move-to-front is one
-   overlapping [Array.blit] — no allocation per symbol, unlike the
-   original linked-list [List.filter] implementation, which is retained
-   verbatim under {!Reference} as the differential-test oracle. Ids are
-   assigned by first occurrence, so the id stream determines both the
-   MTF indices and the novel-symbol order, and the outputs stay
-   byte-identical to the list implementation. *)
-
-type 'a encoded = { indices : int list; novel : 'a list }
+   overlapping [Array.blit], with no allocation per symbol, unlike the
+   original linked-list [List.filter] coder, which the differential
+   tests in test/test_zip.ml keep as their oracle. Ids are assigned by
+   first occurrence, so the id stream determines both the MTF indices
+   and the novel-symbol order, and the outputs are byte-identical to
+   the list coder's. *)
 
 let fail ~pos kind msg = Support.Decode_error.fail ~decoder:"mtf" ~kind ~pos msg
 
@@ -108,7 +106,7 @@ let decode_ids ?max_novel (indices : int array) : int array =
    by the hash value in a plain int-keyed Hashtbl; collisions fall back
    to [eq]. Returns the id stream plus the distinct symbols in id
    order — exactly the novel table the wire format transmits. *)
-let intern ~hash ~eq xs =
+let intern_hashed ~hash ~eq xs =
   let buckets : (int, ('a * int) list) Hashtbl.t = Hashtbl.create 256 in
   let novel = ref [] in
   let count = ref 0 in
@@ -126,121 +124,3 @@ let intern ~hash ~eq xs =
   in
   let ids = Array.of_list (List.map id_of xs) in
   (ids, List.rev !novel)
-
-(* ---- public API ---- *)
-
-let intern_hashed ~hash ~eq xs = intern ~hash ~eq xs
-
-let encode_hashed ~hash ~eq xs =
-  let ids, novel = intern ~hash ~eq xs in
-  { indices = Array.to_list (encode_ids ids); novel }
-
-(* The generic path cannot hash (an arbitrary [eq] admits no compatible
-   hash), so it interns by linear scan over the distinct symbols — the
-   same comparison count as the old list walk, minus its per-symbol
-   allocations. *)
-let encode ~eq xs =
-  match xs with
-  | [] -> { indices = []; novel = [] }
-  | x0 :: _ ->
-    let syms = ref (Array.make 16 x0) in
-    let count = ref 0 in
-    let id_of x =
-      let s = !syms in
-      let p = ref 0 in
-      while !p < !count && not (eq x (Array.unsafe_get s !p)) do incr p done;
-      if !p < !count then !p
-      else begin
-        let s =
-          if !count = Array.length s then begin
-            let ns = Array.make (2 * !count) x0 in
-            Array.blit s 0 ns 0 !count;
-            syms := ns;
-            ns
-          end
-          else s
-        in
-        s.(!count) <- x;
-        incr count;
-        !count - 1
-      end
-    in
-    let ids = Array.of_list (List.map id_of xs) in
-    let novel = Array.to_list (Array.sub !syms 0 !count) in
-    { indices = Array.to_list (encode_ids ids); novel }
-
-let decode_exn { indices; novel } =
-  let novel_arr = Array.of_list novel in
-  let ids =
-    decode_ids ~max_novel:(Array.length novel_arr) (Array.of_list indices)
-  in
-  Array.to_list (Array.map (fun id -> novel_arr.(id)) ids)
-
-let decode e = Support.Decode_error.guard ~decoder:"mtf" (fun () -> decode_exn e)
-
-let encode_ints xs =
-  let ids, novel = intern ~hash:(fun x -> x) ~eq:Int.equal xs in
-  { indices = Array.to_list (encode_ids ids); novel }
-
-let decode_ints_exn e = decode_exn e
-let decode_ints e = decode e
-
-(* ---- the original list implementation, kept as the test oracle ---- *)
-
-module Reference = struct
-  let encode ~eq xs =
-    (* The table is a list with the most recently used symbol first. *)
-    let table = ref [] in
-    let novel = ref [] in
-    let index_of x =
-      let rec go i = function
-        | [] -> None
-        | y :: rest -> if eq x y then Some i else go (i + 1) rest
-      in
-      go 1 !table
-    in
-    let emit x =
-      match index_of x with
-      | Some i ->
-        (* move to front *)
-        table := x :: List.filter (fun y -> not (eq x y)) !table;
-        i
-      | None ->
-        novel := x :: !novel;
-        table := x :: !table;
-        0
-    in
-    let indices = List.map emit xs in
-    { indices; novel = List.rev !novel }
-
-  (* [pos] below is the element index of the offending MTF index, which is
-     the most useful "position" for a symbol-stream decoder. *)
-  let decode_exn { indices; novel } =
-    let table = ref [] in
-    let table_len = ref 0 in
-    let pending = ref novel in
-    let emit pos i =
-      if i < 0 then
-        fail ~pos Support.Decode_error.Bad_value
-          (Printf.sprintf "negative index %d" i)
-      else if i = 0 then begin
-        match !pending with
-        | [] ->
-          fail ~pos Support.Decode_error.Inconsistent "novel list exhausted"
-        | x :: rest ->
-          pending := rest;
-          table := x :: !table;
-          incr table_len;
-          x
-      end
-      else if i > !table_len then
-        fail ~pos Support.Decode_error.Bad_value
-          (Printf.sprintf "index %d exceeds table of %d" i !table_len)
-      else begin
-        let x = List.nth !table (i - 1) in
-        table := x :: List.filteri (fun j _ -> j <> i - 1) !table;
-        x
-      end
-    in
-    List.mapi emit indices
-end

@@ -1,4 +1,4 @@
-(** Move-to-front coding over arbitrary symbol alphabets.
+(** Move-to-front coding over dense symbol ids.
 
     The paper's wire format MTF-codes each literal stream before Huffman
     coding (§3 step 3). Following the paper, index 0 is reserved for
@@ -6,71 +6,32 @@
     and the symbol itself is recovered from a side table of first
     occurrences, so no MTF table needs to be transmitted.
 
-    The implementation is an array sliding table over dense
-    first-occurrence ids (flat int scans and overlapping blits, no
-    allocation per symbol); the original linked-list implementation is
-    kept under {!Reference} as the oracle for differential tests. *)
-
-type 'a encoded = {
-  indices : int list;   (** one per input symbol; 0 = first occurrence *)
-  novel : 'a list;      (** symbols in order of first appearance *)
-}
-
-val encode : eq:('a -> 'a -> bool) -> 'a list -> 'a encoded
-(** MTF indices for the input sequence. An index [i >= 1] refers to the
-    symbol at (1-based) position [i] of the current table; 0 introduces
-    the next element of [novel]. *)
-
-val encode_hashed :
-  hash:('a -> int) -> eq:('a -> 'a -> bool) -> 'a list -> 'a encoded
-(** As {!encode}, but resolves symbols through [hash] (which must agree
-    with [eq]: equal symbols hash equal), replacing the per-symbol
-    linear intern scan with a table lookup. Output is identical to
-    {!encode} with the same [eq]. The hot path for the wire format's
-    pattern and literal streams. *)
-
-val decode : 'a encoded -> ('a list, Support.Decode_error.t) result
-(** Inverse of {!encode}: [decode (encode ~eq xs) = Ok xs] whenever [eq]
-    is equality. Total: an out-of-range index or exhausted novel list
-    yields [Error] with the element position of the defect. *)
-
-val decode_exn : 'a encoded -> 'a list
-(** As {!decode} but raises {!Support.Decode_error.Fail}; for trusted
-    inputs. *)
-
-val encode_ints : int list -> int encoded
-val decode_ints : int encoded -> (int list, Support.Decode_error.t) result
-val decode_ints_exn : int encoded -> int list
-
-(** {2 Dense-id fast path}
-
-    Allocation-free array streams for callers that already intern their
-    symbols (the wire format): ids are assigned by first occurrence, so
-    the k-th distinct value to appear is k, and the novel table is the
-    symbols in id order. *)
+    Callers intern their symbols first ({!intern_hashed}): ids are
+    assigned by first occurrence, so the k-th distinct symbol to appear
+    is k, and the novel table is the distinct symbols in id order. The
+    coder is an array sliding table over those ids (flat int scans and
+    overlapping blits, no allocation per symbol); the original
+    linked-list coder is the oracle of the differential tests in
+    [test/test_zip.ml]. *)
 
 val intern_hashed :
   hash:('a -> int) -> eq:('a -> 'a -> bool) -> 'a list ->
   int array * 'a list
 (** Dense first-occurrence ids for the input (the k-th distinct symbol
-    to appear gets id k), plus the distinct symbols in id order —
-    exactly the novel table of {!encode_hashed}. Callers that need the
-    id stream itself (e.g. to choose between {!encode_ids} and an
-    ablation indexing) start here. *)
+    to appear gets id k), plus the distinct symbols in id order: the
+    novel table the wire format transmits. [hash] must agree with [eq]
+    (equal symbols hash equal). *)
 
 val encode_ids : int array -> int array
-(** MTF indices for a dense first-occurrence id stream. *)
+(** MTF indices for a dense first-occurrence id stream. An index
+    [i >= 1] refers to the symbol at (1-based) position [i] of the
+    current table; 0 introduces the next novel symbol. *)
 
 val decode_ids : ?max_novel:int -> int array -> int array
-(** Inverse of {!encode_ids}. With [max_novel], an index stream that
-    introduces more than [max_novel] novel symbols is rejected ("novel
-    list exhausted"), as is any out-of-range index.
-    @raise Support.Decode_error.Fail on malformed input. *)
-
-(** The original list-based implementation (O(n) [List.filter] per
-    symbol), kept verbatim as the oracle for randomized differential
-    tests. Not used on any production path. *)
-module Reference : sig
-  val encode : eq:('a -> 'a -> bool) -> 'a list -> 'a encoded
-  val decode_exn : 'a encoded -> 'a list
-end
+(** Inverse of {!encode_ids}: [decode_ids (encode_ids ids) = ids]. A
+    negative or out-of-range index is rejected, and so, with
+    [max_novel], is an index stream that introduces more than
+    [max_novel] novel symbols ("novel list exhausted").
+    @raise Support.Decode_error.Fail on malformed input, at the element
+    position of the defect; untrusted streams decode under
+    {!Support.Decode_error.guard}. *)

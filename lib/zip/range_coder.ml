@@ -9,8 +9,8 @@ let mask32 = 0xFFFFFFFF
    is O(alphabet); a Fenwick (binary-indexed) tree makes both O(log
    alphabet) while the model state — per-symbol frequencies and their
    total — evolves identically, so every emitted byte is unchanged
-   (DESIGN.md §10). The scan implementation survives as
-   [Model.Reference], the differential-test oracle.
+   (DESIGN.md §10). The scan implementation survives in
+   test/test_zip.ml as the differential-test oracle.
 
    Storage is uint16 cells in [Bytes], not int arrays: every frequency
    and every Fenwick node is bounded by the total, which the halving
@@ -136,45 +136,6 @@ module Model = struct
 
   let freq m sym = get16 m.freqs (sym * 2)
   let total m = m.total
-
-  (* the original linear-scan model, kept as the test oracle *)
-  module Reference = struct
-    type t = { freqs : int array; mutable total : int }
-
-    let create n =
-      if n <= 0 then invalid_arg "Range_coder.Model.Reference.create";
-      { freqs = Array.make n 1; total = n }
-
-    let halve m =
-      m.total <- 0;
-      Array.iteri
-        (fun i f ->
-          let f' = (f + 1) / 2 in
-          m.freqs.(i) <- f';
-          m.total <- m.total + f')
-        m.freqs
-
-    let update m sym =
-      m.freqs.(sym) <- m.freqs.(sym) + 32;
-      m.total <- m.total + 32;
-      if m.total >= max_total then halve m
-
-    let cum_below m sym =
-      let c = ref 0 in
-      for i = 0 to sym - 1 do c := !c + m.freqs.(i) done;
-      !c
-
-    let find m target =
-      let c = ref 0 and i = ref 0 in
-      while !c + m.freqs.(!i) <= target do
-        c := !c + m.freqs.(!i);
-        incr i
-      done;
-      (!i, !c)
-
-    let freq m sym = m.freqs.(sym)
-    let total m = m.total
-  end
 end
 
 type encoder = {

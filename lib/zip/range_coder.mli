@@ -27,19 +27,6 @@ module Model : sig
 
   val freq : t -> int -> int
   val total : t -> int
-
-  (** The original linear-scan model, kept verbatim as the oracle for
-      randomized differential tests. Not used on any production path. *)
-  module Reference : sig
-    type t
-
-    val create : int -> t
-    val update : t -> int -> unit
-    val cum_below : t -> int -> int
-    val find : t -> int -> int * int
-    val freq : t -> int -> int
-    val total : t -> int
-  end
 end
 
 val context_slots : int

@@ -50,7 +50,7 @@ let fuzz_huffman =
       (fun t ->
         Bytes.to_string
           (Zip.Huffman.encode_all
-             (List.init (String.length t) (fun i -> Char.code t.[i] land 31))
+             (Array.init (String.length t) (fun i -> Char.code t.[i] land 31))
              ~alphabet:32))
       texts
   in
@@ -67,7 +67,7 @@ let fuzz_huffman_decode_table =
     let rng = Support.Prng.create 0x7AB1EL in
     List.init 3
       (fun k ->
-        List.init (600 + (k * 200)) (fun i ->
+        Array.init (600 + (k * 200)) (fun i ->
             if i land 7 = 0 then Support.Prng.int rng 200
             else Support.Prng.int rng 4))
   in
@@ -79,7 +79,7 @@ let fuzz_huffman_decode_table =
       | Error _ -> ()
       | Ok syms ->
         (* accepted mutants re-encode and decode to the same stream *)
-        let alphabet = List.fold_left max 0 syms + 1 in
+        let alphabet = Array.fold_left max 0 syms + 1 in
         let z = Zip.Huffman.encode_all syms ~alphabet in
         assert (Zip.Huffman.decode_all_exn z = syms))
 
@@ -122,16 +122,16 @@ let frame body =
   Bytes.set hdr 3 (Char.chr (crc land 0xff));
   Bytes.to_string hdr ^ body
 
-let fuzz_wire_bundle =
+let fuzz_wire_bundle ?use_mtf name seed =
   let seeds =
     List.map
       (fun ir ->
-        let z = Wire.compress ir in
+        let z = Wire.compress ?use_mtf ir in
         let body = String.sub z 4 (String.length z - 4) in
         Zip.Deflate.decompress_exn (String.sub body 1 (String.length body - 1)))
       irs
   in
-  fuzz "wire inner bundle" 105L seeds (fun _ bundle ->
+  fuzz name seed seeds (fun _ bundle ->
       let z = frame ("D" ^ Zip.Deflate.compress bundle) in
       match Wire.decompress z with
       | Ok _ | Error _ -> ())
@@ -270,10 +270,13 @@ let fuzz_mtf_structured =
   fuzz "mtf structured" 111L [ "" ] (fun rng _ ->
       let len = Support.Prng.int rng 40 in
       let indices =
-        List.init len (fun _ -> Support.Prng.int rng 50 - 3)  (* incl. negatives *)
+        Array.init len (fun _ -> Support.Prng.int rng 50 - 3)  (* incl. negatives *)
       in
-      let novel = List.init (Support.Prng.int rng 8) (fun i -> i) in
-      match Zip.Mtf.decode_ints { Zip.Mtf.indices; novel } with
+      let max_novel = Support.Prng.int rng 8 in
+      match
+        Support.Decode_error.guard ~decoder:"mtf" (fun () ->
+            Zip.Mtf.decode_ids ~max_novel indices)
+      with
       | Ok _ | Error _ -> ())
 
 (* ---- registry-driven: one mutation row per registered codec ----
@@ -381,7 +384,12 @@ let () =
           Alcotest.test_case "range order-0" `Quick (fuzz_range 0 103L);
           Alcotest.test_case "range order-2" `Quick (fuzz_range 2 113L);
           Alcotest.test_case "wire" `Quick fuzz_wire;
-          Alcotest.test_case "wire inner bundle" `Quick fuzz_wire_bundle;
+          Alcotest.test_case "wire inner bundle" `Quick
+            (fuzz_wire_bundle "wire inner bundle" 105L);
+          (* the MTF ablation's bundles take the first-occurrence
+             branch of the symbol decoder *)
+          Alcotest.test_case "wire no-mtf inner bundle" `Quick
+            (fuzz_wire_bundle ~use_mtf:false "wire no-mtf inner bundle" 117L);
           Alcotest.test_case "chunked" `Quick fuzz_chunked;
           Alcotest.test_case "chunked inner body" `Quick fuzz_chunked_body;
           Alcotest.test_case "chunked index" `Quick fuzz_chunked_index;

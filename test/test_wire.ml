@@ -134,7 +134,7 @@ let medium_ir = lazy (compile (Corpus.Gen.generate Corpus.Gen.medium).Corpus.Pro
 
 let test_stats_consistency () =
   let ir = Lazy.force medium_ir in
-  let s = Wire.stats ir in
+  let s = Wire.stats (Wire.patternize ir) in
   Alcotest.(check bool) "wire smaller than bundle" true
     (s.Wire.wire_bytes < s.Wire.bundle_bytes);
   Alcotest.(check bool) "has patterns" true (s.Wire.pattern_count > 1000);
@@ -142,6 +142,30 @@ let test_stats_consistency () =
     (s.Wire.distinct_patterns < s.Wire.pattern_count / 2);
   Alcotest.(check bool) "has literal streams" true
     (List.length s.Wire.literal_stream_bytes > 3)
+
+(* the numbers describe the image the same flags write: its length, and
+   a bundle that is exactly the header plus the measured segments *)
+let test_stats_describe_image () =
+  let ir = compile Corpus.Programs.calc.Corpus.Programs.source in
+  List.iter
+    (fun (label, use_mtf, split_streams) ->
+      let pz = Wire.patternize ~use_mtf ~split_streams ir in
+      let s = Wire.stats pz in
+      Alcotest.(check int) (label ^ ": wire bytes")
+        (String.length (Wire.compress ~use_mtf ~split_streams ir))
+        s.Wire.wire_bytes;
+      Alcotest.(check int) (label ^ ": bundle bytes")
+        (String.length (Wire.bundle_of_patternized pz))
+        s.Wire.bundle_bytes;
+      Alcotest.(check int) (label ^ ": header + segments") s.Wire.bundle_bytes
+        (s.Wire.header_bytes + s.Wire.pattern_stream_bytes
+        + s.Wire.novel_table_bytes
+        + List.fold_left (fun a (_, b) -> a + b) 0 s.Wire.literal_stream_bytes);
+      Alcotest.(check bool) (label ^ ": one pooled literal stream")
+        (not split_streams)
+        (List.map fst s.Wire.literal_stream_bytes = [ "ALL" ]))
+    [ ("default", true, true); ("no-mtf", false, true);
+      ("no-split", true, false) ]
 
 let test_beats_gzip_on_medium () =
   (* the paper's table: wire beats gzipped conventional code except on
@@ -298,6 +322,8 @@ let () =
       ( "sizes",
         [
           Alcotest.test_case "stats consistency" `Slow test_stats_consistency;
+          Alcotest.test_case "stats describe the image" `Quick
+            test_stats_describe_image;
           Alcotest.test_case "beats gzip (medium)" `Slow test_beats_gzip_on_medium;
           Alcotest.test_case "mtf effect bounded" `Slow test_mtf_effect_bounded;
           Alcotest.test_case "stream split effect" `Slow test_split_streams_help;

@@ -5,62 +5,143 @@ let qcheck = QCheck_alcotest.to_alcotest
 
 (* ---- MTF ---- *)
 
+(* The original linked-list coder (an O(n) [List.filter] per symbol),
+   kept verbatim as the oracle for the differential properties below.
+   It codes a symbol list into one index per symbol (0 = first
+   occurrence) plus the novel symbols in order of first appearance. *)
+module Mtf_reference = struct
+  let fail ~pos kind msg =
+    Support.Decode_error.fail ~decoder:"mtf" ~kind ~pos msg
+
+  let encode ~eq xs =
+    (* The table is a list with the most recently used symbol first. *)
+    let table = ref [] in
+    let novel = ref [] in
+    let index_of x =
+      let rec go i = function
+        | [] -> None
+        | y :: rest -> if eq x y then Some i else go (i + 1) rest
+      in
+      go 1 !table
+    in
+    let emit x =
+      match index_of x with
+      | Some i ->
+        (* move to front *)
+        table := x :: List.filter (fun y -> not (eq x y)) !table;
+        i
+      | None ->
+        novel := x :: !novel;
+        table := x :: !table;
+        0
+    in
+    let indices = List.map emit xs in
+    (indices, List.rev !novel)
+
+  (* [pos] below is the element index of the offending MTF index, which is
+     the most useful "position" for a symbol-stream decoder. *)
+  let decode_exn (indices, novel) =
+    let table = ref [] in
+    let table_len = ref 0 in
+    let pending = ref novel in
+    let emit pos i =
+      if i < 0 then
+        fail ~pos Support.Decode_error.Bad_value
+          (Printf.sprintf "negative index %d" i)
+      else if i = 0 then begin
+        match !pending with
+        | [] ->
+          fail ~pos Support.Decode_error.Inconsistent "novel list exhausted"
+        | x :: rest ->
+          pending := rest;
+          table := x :: !table;
+          incr table_len;
+          x
+      end
+      else if i > !table_len then
+        fail ~pos Support.Decode_error.Bad_value
+          (Printf.sprintf "index %d exceeds table of %d" i !table_len)
+      else begin
+        let x = List.nth !table (i - 1) in
+        table := x :: List.filteri (fun j _ -> j <> i - 1) !table;
+        x
+      end
+    in
+    List.mapi emit indices
+end
+
+(* The stream path the wire format runs: intern to dense
+   first-occurrence ids, then MTF-code the ids; decoding maps the
+   decoded ids back through the novel table. *)
+let mtf_encode ?(hash = Hashtbl.hash) ~eq xs =
+  let ids, novel = Zip.Mtf.intern_hashed ~hash ~eq xs in
+  (Zip.Mtf.encode_ids ids, novel)
+
+let mtf_decode (indices, novel) =
+  let novel = Array.of_list novel in
+  Zip.Mtf.decode_ids ~max_novel:(Array.length novel) indices
+  |> Array.map (fun id -> novel.(id))
+  |> Array.to_list
+
+let mtf_ints xs = mtf_encode ~hash:Fun.id ~eq:Int.equal xs
+
 let test_mtf_paper_example () =
   (* §3 of the paper: ADDRLP8 stream [72 72 68 72 68 68 68 68] MTF-codes
      to [0 1 0 2 2 1 1 1] with 0 meaning "not seen previously". *)
-  let e = Zip.Mtf.encode_ints [ 72; 72; 68; 72; 68; 68; 68; 68 ] in
-  Alcotest.(check (list int)) "indices" [ 0; 1; 0; 2; 2; 1; 1; 1 ] e.Zip.Mtf.indices;
-  Alcotest.(check (list int)) "novel" [ 72; 68 ] e.Zip.Mtf.novel
+  let xs = [ 72; 72; 68; 72; 68; 68; 68; 68 ] in
+  let ((indices, novel) as e) = mtf_ints xs in
+  Alcotest.(check (array int)) "indices" [| 0; 1; 0; 2; 2; 1; 1; 1 |] indices;
+  Alcotest.(check (list int)) "novel" [ 72; 68 ] novel;
+  Alcotest.(check (list int)) "decode" xs (mtf_decode e)
 
 let test_mtf_empty () =
-  let e = Zip.Mtf.encode_ints [] in
-  Alcotest.(check (list int)) "indices" [] e.Zip.Mtf.indices;
-  Alcotest.(check (list int)) "decode" [] (Zip.Mtf.decode_ints_exn e)
+  let ((indices, _) as e) = mtf_ints [] in
+  Alcotest.(check (array int)) "indices" [||] indices;
+  Alcotest.(check (list int)) "decode" [] (mtf_decode e)
 
 let test_mtf_all_same () =
-  let e = Zip.Mtf.encode_ints [ 5; 5; 5; 5 ] in
-  Alcotest.(check (list int)) "indices" [ 0; 1; 1; 1 ] e.Zip.Mtf.indices
+  let indices, _ = mtf_ints [ 5; 5; 5; 5 ] in
+  Alcotest.(check (array int)) "indices" [| 0; 1; 1; 1 |] indices
 
 let test_mtf_locality_wins () =
   (* high-locality streams yield smaller average index than a round-robin
      of the same symbols *)
-  let local = Zip.Mtf.encode_ints [ 1; 1; 1; 2; 2; 2; 3; 3; 3 ] in
-  let spread = Zip.Mtf.encode_ints [ 1; 2; 3; 1; 2; 3; 1; 2; 3 ] in
-  let sum l = List.fold_left ( + ) 0 l.Zip.Mtf.indices in
+  let local, _ = mtf_ints [ 1; 1; 1; 2; 2; 2; 3; 3; 3 ] in
+  let spread, _ = mtf_ints [ 1; 2; 3; 1; 2; 3; 1; 2; 3 ] in
+  let sum = Array.fold_left ( + ) 0 in
   Alcotest.(check bool) "locality smaller" true (sum local < sum spread)
 
 let prop_mtf_roundtrip =
   QCheck.Test.make ~name:"mtf roundtrip" ~count:300
     QCheck.(list (int_bound 50))
-    (fun xs -> Zip.Mtf.decode_ints_exn (Zip.Mtf.encode_ints xs) = xs)
+    (fun xs -> mtf_decode (mtf_ints xs) = xs)
 
 let prop_mtf_strings =
   QCheck.Test.make ~name:"mtf roundtrip over strings" ~count:100
     QCheck.(list (string_of_size (Gen.return 2)))
-    (fun xs ->
-      let e = Zip.Mtf.encode ~eq:String.equal xs in
-      Zip.Mtf.decode_exn e = xs)
+    (fun xs -> mtf_decode (mtf_encode ~eq:String.equal xs) = xs)
 
-(* ---- MTF differentials: array engine vs the retained list oracle ---- *)
+(* ---- MTF differentials: array engine vs the list oracle ---- *)
 
+(* a constant hash puts every symbol in one bucket, so interning falls
+   back to [eq] throughout *)
 let prop_mtf_differential =
   QCheck.Test.make ~name:"mtf array vs Reference oracle" ~count:300
     QCheck.(list (int_bound 60))
     (fun xs ->
-      let a = Zip.Mtf.encode ~eq:( = ) xs in
-      let b = Zip.Mtf.Reference.encode ~eq:( = ) xs in
-      a.Zip.Mtf.indices = b.Zip.Mtf.indices
-      && a.Zip.Mtf.novel = b.Zip.Mtf.novel
-      && Zip.Mtf.decode_exn a = Zip.Mtf.Reference.decode_exn b)
+      let ((indices, novel) as a) = mtf_encode ~hash:(fun _ -> 0) ~eq:( = ) xs in
+      let ((ref_indices, ref_novel) as b) = Mtf_reference.encode ~eq:( = ) xs in
+      Array.to_list indices = ref_indices
+      && novel = ref_novel
+      && mtf_decode a = Mtf_reference.decode_exn b)
 
 let prop_mtf_hashed_differential =
   QCheck.Test.make ~name:"mtf hashed vs Reference oracle" ~count:200
     QCheck.(list (string_of_size (Gen.int_range 0 3)))
     (fun xs ->
-      let a = Zip.Mtf.encode_hashed ~hash:Hashtbl.hash ~eq:String.equal xs in
-      let b = Zip.Mtf.Reference.encode ~eq:String.equal xs in
-      a.Zip.Mtf.indices = b.Zip.Mtf.indices
-      && a.Zip.Mtf.novel = b.Zip.Mtf.novel)
+      let indices, novel = mtf_encode ~eq:String.equal xs in
+      let ref_indices, ref_novel = Mtf_reference.encode ~eq:String.equal xs in
+      Array.to_list indices = ref_indices && novel = ref_novel)
 
 (* ---- Huffman ---- *)
 
@@ -81,12 +162,13 @@ let test_huffman_kraft () =
   Alcotest.(check (float 1e-9)) "kraft sum" 1.0 k
 
 let test_huffman_single_symbol () =
-  let enc = Zip.Huffman.encode_all [ 3; 3; 3; 3 ] ~alphabet:8 in
-  Alcotest.(check (list int)) "decoded" [ 3; 3; 3; 3 ] (Zip.Huffman.decode_all_exn enc)
+  let enc = Zip.Huffman.encode_all [| 3; 3; 3; 3 |] ~alphabet:8 in
+  Alcotest.(check (array int)) "decoded" [| 3; 3; 3; 3 |]
+    (Zip.Huffman.decode_all_exn enc)
 
 let test_huffman_empty () =
-  let enc = Zip.Huffman.encode_all [] ~alphabet:4 in
-  Alcotest.(check (list int)) "decoded" [] (Zip.Huffman.decode_all_exn enc)
+  let enc = Zip.Huffman.encode_all [||] ~alphabet:4 in
+  Alcotest.(check (array int)) "decoded" [||] (Zip.Huffman.decode_all_exn enc)
 
 let test_huffman_cost_bits () =
   let freqs = [| 3; 1 |] in
@@ -125,6 +207,7 @@ let prop_huffman_roundtrip =
   QCheck.Test.make ~name:"huffman roundtrip" ~count:300
     QCheck.(list (int_bound 30))
     (fun xs ->
+      let xs = Array.of_list xs in
       let enc = Zip.Huffman.encode_all xs ~alphabet:31 in
       Zip.Huffman.decode_all_exn enc = xs)
 
@@ -379,16 +462,60 @@ let test_deflate_stored_truncated () =
 
 (* ---- Range coder ---- *)
 
+(* The original linear-scan frequency model, kept verbatim as the
+   oracle for the Fenwick model's differential tests: add-one start,
+   +32 per update, halve (rounding up) once the total reaches the
+   coder's bound of 2^16 - 1. *)
+module Model_reference = struct
+  type t = { freqs : int array; mutable total : int }
+
+  let max_total = (1 lsl 16) - 1
+
+  let create n =
+    if n <= 0 then invalid_arg "Model_reference.create";
+    { freqs = Array.make n 1; total = n }
+
+  let halve m =
+    m.total <- 0;
+    Array.iteri
+      (fun i f ->
+        let f' = (f + 1) / 2 in
+        m.freqs.(i) <- f';
+        m.total <- m.total + f')
+      m.freqs
+
+  let update m sym =
+    m.freqs.(sym) <- m.freqs.(sym) + 32;
+    m.total <- m.total + 32;
+    if m.total >= max_total then halve m
+
+  let cum_below m sym =
+    let c = ref 0 in
+    for i = 0 to sym - 1 do c := !c + m.freqs.(i) done;
+    !c
+
+  let find m target =
+    let c = ref 0 and i = ref 0 in
+    while !c + m.freqs.(!i) <= target do
+      c := !c + m.freqs.(!i);
+      incr i
+    done;
+    (!i, !c)
+
+  let freq m sym = m.freqs.(sym)
+  let total m = m.total
+end
+
 (* Fenwick model vs the retained linear-scan oracle: identical
    cum_below/find/freq/total through thousands of updates, across the
    halving threshold (with +32 per update a model crosses it after
    ~2000 updates). *)
 let check_models_agree n m r =
   let module M = Zip.Range_coder.Model in
-  Alcotest.(check int) "total" (M.Reference.total r) (M.total m);
+  Alcotest.(check int) "total" (Model_reference.total r) (M.total m);
   for s = 0 to n - 1 do
-    Alcotest.(check int) "freq" (M.Reference.freq r s) (M.freq m s);
-    Alcotest.(check int) "cum_below" (M.Reference.cum_below r s)
+    Alcotest.(check int) "freq" (Model_reference.freq r s) (M.freq m s);
+    Alcotest.(check int) "cum_below" (Model_reference.cum_below r s)
       (M.cum_below m s)
   done
 
@@ -396,12 +523,12 @@ let test_fenwick_differential_halving () =
   let module M = Zip.Range_coder.Model in
   List.iter
     (fun n ->
-      let m = M.create n and r = M.Reference.create n in
+      let m = M.create n and r = Model_reference.create n in
       let rng = Support.Prng.create (Int64.of_int (9000 + n)) in
       for i = 1 to 5000 do
         let s = Support.Prng.int rng n in
         M.update m s;
-        M.Reference.update r s;
+        Model_reference.update r s;
         if i mod 611 = 0 then check_models_agree n m r
       done;
       check_models_agree n m r;
@@ -410,7 +537,7 @@ let test_fenwick_differential_halving () =
       for _ = 1 to 200 do
         let t = Support.Prng.int rng total in
         let sym, cum = M.find m t in
-        let sym', cum' = M.Reference.find r t in
+        let sym', cum' = Model_reference.find r t in
         Alcotest.(check (pair int int)) "find" (sym', cum') (sym, cum)
       done)
     [ 1; 2; 3; 7; 16; 64; 256; 300 ]
@@ -420,19 +547,19 @@ let prop_fenwick_differential =
     QCheck.(pair (int_range 1 48) (list_of_size (Gen.int_range 0 300) (int_bound 1000)))
     (fun (n, updates) ->
       let module M = Zip.Range_coder.Model in
-      let m = M.create n and r = M.Reference.create n in
+      let m = M.create n and r = Model_reference.create n in
       List.for_all
         (fun u ->
           let s = u mod n in
           M.update m s;
-          M.Reference.update r s;
+          Model_reference.update r s;
           let ok_state =
-            M.total m = M.Reference.total r
-            && M.freq m s = M.Reference.freq r s
-            && M.cum_below m s = M.Reference.cum_below r s
+            M.total m = Model_reference.total r
+            && M.freq m s = Model_reference.freq r s
+            && M.cum_below m s = Model_reference.cum_below r s
           in
           let t = u mod M.total m in
-          ok_state && M.find m t = M.Reference.find r t)
+          ok_state && M.find m t = Model_reference.find r t)
         updates)
 
 let test_range_coder_basic () =
@@ -574,8 +701,7 @@ let test_mtf_edge_corpus () =
   in
   List.iter
     (fun xs ->
-      let e = Zip.Mtf.encode_ints xs in
-      Alcotest.(check (list int)) "roundtrip" xs (Zip.Mtf.decode_ints_exn e))
+      Alcotest.(check (list int)) "roundtrip" xs (mtf_decode (mtf_ints xs)))
     cases
 
 let test_huffman_edge_corpus () =
@@ -587,8 +713,9 @@ let test_huffman_edge_corpus () =
   in
   List.iter
     (fun xs ->
+      let xs = Array.of_list xs in
       let enc = Zip.Huffman.encode_all xs ~alphabet:31 in
-      Alcotest.(check (list int)) "roundtrip" xs
+      Alcotest.(check (array int)) "roundtrip" xs
         (Zip.Huffman.decode_all_exn enc))
     cases
 
